@@ -6,7 +6,8 @@
 //! dollar cost. Candidates are tried in that order; trying a candidate
 //! schedules the cluster's tasks and edges incrementally on the
 //! architecture's timelines, estimates finish times, and checks deadlines.
-//! The first (cheapest) candidate that meets all deadlines wins; if none
+//! A rejected candidate is undone through the undo journal. The
+//! first (cheapest) candidate that meets all deadlines wins; if none
 //! does, the specification is unallocatable against the library.
 //!
 //! Scheduling policy: software tasks are placed non-preemptively at the
@@ -23,12 +24,13 @@ use crusade_model::{
 use crusade_obs::{Event, RejectReason};
 use crusade_sched::{
     check_deadlines, estimate_finish_times, latest_finish_times, priority_levels, Occupant,
-    PeriodicInterval, Timeline, Window,
+    PeriodicInterval, Window,
 };
 
 use crate::arch::{Architecture, LinkInstanceId, ModeIndex, PeInstanceId};
 use crate::cluster::{Cluster, ClusterId, Clustering};
 use crate::error::SynthesisError;
+use crate::journal::Journal;
 use crate::options::{derate, CosynOptions};
 use crate::policy::splitmix64;
 use crate::portfolio::{cache_key, PortfolioHooks};
@@ -91,14 +93,10 @@ pub struct Allocator<'a> {
     /// Whether new configuration images may be opened on existing
     /// programmable PEs (true during field-upgrade synthesis).
     allow_new_modes: bool,
-    /// Static pruning oracle ([`CosynOptions::pruning`]): cached
-    /// per-task feasible-PE sets and earliest-start lower bounds from
-    /// `crusade-lint`. `None` when pruning is disabled.
-    oracle: Option<crusade_lint::PruningOracle>,
+    /// Undo log of the scheduling attempt in progress on `arch`.
+    journal: Journal,
     /// Allocation candidates evaluated (a scheduling attempt ran).
     candidates_tried: usize,
-    /// Allocation candidates skipped by the oracle without scheduling.
-    candidates_pruned: usize,
     /// Portfolio sharing (cancellation flag + negative evaluation cache),
     /// installed by [`crate::CoSynthesis::with_portfolio_hooks`].
     hooks: Option<PortfolioHooks<'a>>,
@@ -146,9 +144,6 @@ impl<'a> Allocator<'a> {
             ));
         }
         let decisions = vec![None; clustering.cluster_count()];
-        let oracle = options
-            .pruning
-            .then(|| crusade_lint::PruningOracle::build(spec, lib, &options.lint_options()));
         // Fingerprint of everything a scheduling attempt's outcome depends
         // on besides the decision history: the option knobs that reach
         // `try_target` (and the clustering shape, which the size cap
@@ -167,7 +162,7 @@ impl<'a> Allocator<'a> {
             fp ^ (clustering.cluster_count() as u64) ^ ((spec.graph_count() as u64) << 32),
         );
         // The board shares the options' observer handle: every placement
-        // attempt — including ones on scratch clones — reports the slot
+        // attempt — including ones later rolled back — reports the slot
         // it chose.
         let mut arch = Architecture::new();
         arch.board.set_observer(options.observer.clone());
@@ -182,9 +177,8 @@ impl<'a> Allocator<'a> {
             decisions,
             allow_new_instances: true,
             allow_new_modes: false,
-            oracle,
+            journal: Journal::default(),
             candidates_tried: 0,
-            candidates_pruned: 0,
             hooks: None,
             history_hash: fp,
         }
@@ -197,10 +191,10 @@ impl<'a> Allocator<'a> {
         self.hooks = Some(hooks);
     }
 
-    /// `(tried, pruned)` — allocation candidates that were evaluated with
-    /// a scheduling attempt vs. skipped outright by the pruning oracle.
-    pub fn candidate_counters(&self) -> (usize, usize) {
-        (self.candidates_tried, self.candidates_pruned)
+    /// Allocation candidates that were evaluated with a scheduling
+    /// attempt.
+    pub fn candidates_tried(&self) -> usize {
+        self.candidates_tried
     }
 
     /// Prepares an allocator for *field-upgrade* synthesis: the hardware
@@ -244,12 +238,7 @@ impl<'a> Allocator<'a> {
     /// Builds the allocation array for `cluster`, ordered by increasing
     /// incremental cost; among free (existing) candidates, the least-loaded
     /// instance comes first so placements finish early and load spreads.
-    /// Also returns how many candidates the pruning oracle discarded.
-    fn allocation_array(
-        &self,
-        cid: ClusterId,
-        cluster: &Cluster,
-    ) -> (Vec<(AllocTarget, Dollars)>, usize) {
+    fn allocation_array(&self, cid: ClusterId, cluster: &Cluster) -> Vec<(AllocTarget, Dollars)> {
         let mut entries: Vec<(AllocTarget, Dollars, usize)> = Vec::new();
         for (pid, pe) in self.arch.pes() {
             if !cluster.allowed_pes.contains(&pe.ty) {
@@ -311,226 +300,10 @@ impl<'a> Allocator<'a> {
                 i = j;
             }
         }
-        // Static pruning: drop candidates whose PE type is provably dead
-        // for this cluster. Memoised per type — the verdict only depends
-        // on the type (and the board state, fixed for this array).
-        let est_finish = self
-            .oracle
-            .is_some()
-            .then(|| self.estimate_graph_finishes(&self.arch, cluster.graph));
-        let est_finish = est_finish.as_deref().unwrap_or(&[]);
-        let mut verdicts: Vec<(PeTypeId, bool)> = Vec::new();
-        let mut instance_verdicts: Vec<(PeInstanceId, bool)> = Vec::new();
-        let mut pruned = 0usize;
-        let kept = entries
+        entries
             .into_iter()
-            .filter(|(target, ..)| {
-                let ty = match *target {
-                    AllocTarget::Existing { pe, .. } | AllocTarget::NewMode { pe } => {
-                        self.arch.pe(pe).ty
-                    }
-                    AllocTarget::New { ty } => ty,
-                };
-                let mut dead = match verdicts.iter().find(|(t, _)| *t == ty) {
-                    Some(&(_, d)) => d,
-                    None => {
-                        let d = self.cluster_pruned_on(cluster, ty, est_finish);
-                        verdicts.push((ty, d));
-                        d
-                    }
-                };
-                // Instance-level refinement: an existing CPU whose
-                // inviolable occupancies already block the first member's
-                // admission window is dead even though the type is not.
-                if !dead && !est_finish.is_empty() && self.lib.pe(ty).is_cpu() {
-                    if let AllocTarget::Existing { pe, .. } = *target {
-                        dead = match instance_verdicts.iter().find(|(p, _)| *p == pe) {
-                            Some(&(_, d)) => d,
-                            None => {
-                                let d = self.cpu_instance_dead(cluster, pe, est_finish);
-                                instance_verdicts.push((pe, d));
-                                d
-                            }
-                        };
-                    }
-                }
-                if dead {
-                    pruned += 1;
-                }
-                !dead
-            })
             .map(|(target, cost, _)| (target, cost))
-            .collect();
-        (kept, pruned)
-    }
-
-    /// The pruning oracle's verdict: `true` when placing `cluster` on any
-    /// instance of `ty` is provably dead, i.e. the scheduling attempt in
-    /// [`try_target`](Self::try_target) must fail. Two sound arguments:
-    ///
-    /// * **Member timing** — a member's earliest possible start (static
-    ///   lower bound on its ready time under any schedule) plus its
-    ///   execution time on `ty` overshoots its latest-finish bound, so
-    ///   `ready > latest_start` in every placement attempt;
-    /// * **CPU serialisation** — a CPU runs cluster members sequentially
-    ///   within one period, so their summed execution must fit between the
-    ///   earliest member start and the latest member finish bound.
-    ///
-    /// Both bounds use the allocator's own `latest_finish` (worst-case
-    /// downstream estimates), which every dynamic bound in `try_target`
-    /// only tightens — pruning therefore never changes which candidate is
-    /// finally committed, just skips ones that could not be.
-    ///
-    /// A third, board-aware argument handles the *first* member (see
-    /// [`first_member_dead`](Self::first_member_dead)).
-    fn cluster_pruned_on(&self, cluster: &Cluster, ty: PeTypeId, est_finish: &[Nanos]) -> bool {
-        let Some(oracle) = &self.oracle else {
-            return false;
-        };
-        let gid = cluster.graph;
-        let graph = self.spec.graph(gid);
-        for &t in &cluster.tasks {
-            if !oracle.allows(gid, t, ty) {
-                return true;
-            }
-            let Some(exec) = graph.task(t).exec.on(ty) else {
-                return true;
-            };
-            let lf = self.latest_finish[gid.index()][t.index()];
-            if lf != Nanos::MAX {
-                match oracle.earliest_start(gid, t).checked_add(exec) {
-                    Some(finish) if finish <= lf => {}
-                    _ => return true,
-                }
-            }
-        }
-        if self.lib.pe(ty).is_cpu() && cluster.tasks.len() > 1 {
-            let mut min_es = Nanos::MAX;
-            let mut max_lf = Nanos::ZERO;
-            let mut sum = Nanos::ZERO;
-            for &t in &cluster.tasks {
-                min_es = min_es.min(oracle.earliest_start(gid, t));
-                let lf = self.latest_finish[gid.index()][t.index()];
-                if lf == Nanos::MAX {
-                    return false;
-                }
-                max_lf = max_lf.max(lf);
-                sum = sum.saturating_add(graph.task(t).exec.on(ty).unwrap_or(Nanos::ZERO));
-            }
-            if min_es.checked_add(sum).map_or(true, |f| f > max_lf) {
-                return true;
-            }
-        }
-        self.first_member_dead(cluster, ty, est_finish)
-    }
-
-    /// Mirrors the `ready > latest_start` rejection [`try_target`]
-    /// (Self::try_target) performs for the *first* cluster member. That
-    /// member's ready/latest-start computation runs against the still
-    /// unmodified board (no scratch placements, no preemption yet), so
-    /// every window read here is exactly what the scheduling attempt
-    /// would read. The only approximations are lower bounds: a placed
-    /// producer's bare finish stands in for its inter-PE arrival
-    /// (communication only adds delay), and saturation stands in for
-    /// overflow. A `true` verdict therefore proves the attempt fails
-    /// before any placement work, for every instance of `ty`.
-    fn first_member_dead(&self, cluster: &Cluster, ty: PeTypeId, est_finish: &[Nanos]) -> bool {
-        if est_finish.is_empty() {
-            return false;
-        }
-        match self.first_member_window(cluster, ty, est_finish) {
-            Some((_, ready, latest_start)) => ready > latest_start,
-            None => true,
-        }
-    }
-
-    /// The `(duration, ready, latest_start)` triple `try_target` would
-    /// compute for the first cluster member on `ty` (see
-    /// [`first_member_dead`](Self::first_member_dead) for why `ready` is a
-    /// lower bound and the other two are exact). `None` when the member
-    /// cannot run on `ty` at all or its execution exceeds the period —
-    /// both immediately fatal to the candidate.
-    fn first_member_window(
-        &self,
-        cluster: &Cluster,
-        ty: PeTypeId,
-        est_finish: &[Nanos],
-    ) -> Option<(Nanos, Nanos, Nanos)> {
-        let gid = cluster.graph;
-        let graph = self.spec.graph(gid);
-        let t = cluster.tasks[0];
-        let dur = graph.task(t).exec.on(ty)?.max(Nanos::from_nanos(1));
-        if dur > graph.period() {
-            return None;
-        }
-        let mut lf = self.latest_finish[gid.index()][t.index()];
-        for (eid, edge) in graph.successors(t) {
-            let dst = GlobalTaskId::new(gid, edge.to);
-            if let Some(cw) = self.arch.board.window(Occupant::Task(dst)) {
-                let comm = if self.clustering.same_cluster(gid, t, edge.to) {
-                    Nanos::ZERO
-                } else {
-                    self.guaranteed_comm(graph.edge(eid).bytes)
-                };
-                lf = lf.min(cw.start.saturating_sub(comm));
-            }
-        }
-        let latest_start = lf.saturating_sub(dur);
-        let mut ready = graph.est();
-        for (_, edge) in graph.predecessors(t) {
-            let src = GlobalTaskId::new(gid, edge.from);
-            let arrival = match self.arch.board.window(Occupant::Task(src)) {
-                Some(w) => w.finish,
-                None => {
-                    let comm = if self.clustering.same_cluster(gid, edge.from, edge.to) {
-                        Nanos::ZERO
-                    } else {
-                        self.guaranteed_comm(edge.bytes)
-                    };
-                    est_finish[edge.from.index()].saturating_add(comm)
-                }
-            };
-            ready = ready.max(arrival);
-        }
-        Some((dur, ready, latest_start))
-    }
-
-    /// Instance-level verdict for an existing CPU: `true` when the first
-    /// cluster member provably cannot be scheduled on `pid`, even with
-    /// preemption. The occupancies preemption could never remove — tasks
-    /// at the member's priority or higher, plus everything when preemption
-    /// is off — are collected and asked for a *definitive* blockage
-    /// certificate ([`Timeline::blocked`]) over the member's exact
-    /// admission window: if that subset alone blocks every start, the
-    /// full timeline does too, and so does every single-victim eviction
-    /// [`place_with_preemption`](Self::place_with_preemption) can try.
-    fn cpu_instance_dead(
-        &self,
-        cluster: &Cluster,
-        pid: PeInstanceId,
-        est_finish: &[Nanos],
-    ) -> bool {
-        let ty = self.arch.pe(pid).ty;
-        let Some((dur, ready, latest_start)) = self.first_member_window(cluster, ty, est_finish)
-        else {
-            // The type-level verdict already prunes these.
-            return true;
-        };
-        let gid = cluster.graph;
-        let t = cluster.tasks[0];
-        let my_prio = self.priorities[gid.index()][t.index()];
-        let mut inviolable = Timeline::new();
-        for p in self.arch.board.timeline(self.arch.pe(pid).resource).iter() {
-            let evictable = self.options.preemption
-                && match p.occupant {
-                    Occupant::Task(v) => self.priorities[v.graph.index()][v.task.index()] < my_prio,
-                    _ => false,
-                };
-            if !evictable {
-                inviolable.record(p.occupant, p.interval);
-            }
-        }
-        inviolable.blocked(ready, dur, self.spec.graph(gid).period(), latest_start)
+            .collect()
     }
 
     /// Capacity check (memory for CPUs, gates/pins for ASICs, ERUF/EPUF
@@ -602,15 +375,7 @@ impl<'a> Allocator<'a> {
     /// [`SynthesisError::Unallocatable`] when every candidate fails.
     pub fn allocate(&mut self, cid: ClusterId) -> Result<AllocationDecision, SynthesisError> {
         let cluster = self.clustering.cluster(cid);
-        let (entries, pruned) = self.allocation_array(cid, cluster);
-        self.candidates_pruned += pruned;
-        if pruned > 0 {
-            self.options.observer.emit(|| Event::CandidatesPruned {
-                cluster: cid.index() as u64,
-                pruned: pruned as u64,
-            });
-        }
-        for (target, added_cost) in entries {
+        for (target, added_cost) in self.allocation_array(cid, cluster) {
             if self.hooks.is_some_and(|h| h.cancelled()) {
                 return Err(SynthesisError::Cancelled);
             }
@@ -633,8 +398,7 @@ impl<'a> Allocator<'a> {
                 target: self.target_label(target),
             });
             match self.try_target(cid, cluster, target) {
-                Ok((arch, pe, mode)) => {
-                    self.arch = arch;
+                Ok((pe, mode)) => {
                     self.history_hash = decision_hash;
                     let decision = AllocationDecision {
                         pe,
@@ -705,28 +469,44 @@ impl<'a> Allocator<'a> {
         splitmix64(h ^ splitmix64(code))
     }
 
-    /// Attempts to place `cluster` on `target` against a scratch copy of
-    /// the architecture; returns the mutated copy on success, or the
-    /// first gate the candidate failed (the [`RejectReason`] reported in
-    /// `CandidateRejected` events).
+    /// Attempts to place `cluster` on `target`, scheduling it straight
+    /// onto the architecture under construction. Returns the hosting
+    /// instance and mode, or the first gate the candidate failed (the
+    /// [`RejectReason`] reported in `CandidateRejected` events); a
+    /// rejected attempt is rolled back through the journal first, so the
+    /// architecture is exactly what it was before the call.
     fn try_target(
-        &self,
+        &mut self,
         cid: ClusterId,
         cluster: &Cluster,
         target: AllocTarget,
-    ) -> Result<(Architecture, PeInstanceId, usize), RejectReason> {
-        let mut arch = self.arch.clone();
+    ) -> Result<(PeInstanceId, usize), RejectReason> {
+        let mark = self.journal.mark(&self.arch);
+        let outcome = self.schedule_cluster(cid, cluster, target);
+        match outcome {
+            Ok(_) => self.journal.commit(),
+            Err(_) => self.journal.rollback(&mut self.arch, mark),
+        }
+        outcome
+    }
+
+    /// The scheduling attempt behind [`try_target`](Self::try_target):
+    /// mutates `self.arch` through the journal and stops at the first
+    /// failed gate, leaving the rollback to the caller.
+    fn schedule_cluster(
+        &mut self,
+        cid: ClusterId,
+        cluster: &Cluster,
+        target: AllocTarget,
+    ) -> Result<(PeInstanceId, usize), RejectReason> {
         let (pid, mode_idx) = match target {
             AllocTarget::Existing { pe, mode } => (pe, mode),
-            AllocTarget::NewMode { pe } => {
-                let m = arch.pe(pe).modes.len();
-                arch.pe_mut(pe).modes.push(crate::arch::Mode::empty());
-                (pe, m)
-            }
-            AllocTarget::New { ty } => (arch.add_pe(ty), 0),
+            AllocTarget::NewMode { pe } => (pe, self.journal.add_mode(&mut self.arch, pe)),
+            AllocTarget::New { ty } => (self.journal.add_pe(&mut self.arch, ty), 0),
         };
-        let pe_ty = self.lib.pe(arch.pe(pid).ty);
-        let is_cpu = pe_ty.is_cpu();
+        let pe_ty_id = self.arch.pe(pid).ty;
+        let resource = self.arch.pe(pid).resource;
+        let is_cpu = self.lib.pe(pe_ty_id).is_cpu();
         let graph = self.spec.graph(cluster.graph);
         let gid = cluster.graph;
         let period = graph.period();
@@ -738,13 +518,13 @@ impl<'a> Allocator<'a> {
             // placements (which may be much later than the from-scratch
             // estimate) propagate into the ready times of edges from
             // still-unplaced predecessors.
-            let est_finish = self.estimate_graph_finishes(&arch, gid);
+            let est_finish = self.estimate_graph_finishes(gid);
             // Zero-duration tasks are recorded as 1 ns so occupancy stays
             // well-formed.
             let dur = graph
                 .task(t)
                 .exec
-                .on(pe_ty_id(&arch, pid))
+                .on(pe_ty_id)
                 .ok_or(RejectReason::NoExecutionTime)?
                 .max(Nanos::from_nanos(1));
             if dur > period {
@@ -765,7 +545,7 @@ impl<'a> Allocator<'a> {
             let mut lf = self.latest_finish[gid.index()][t.index()];
             for (eid, edge) in graph.successors(t) {
                 let dst = GlobalTaskId::new(gid, edge.to);
-                if let Some(cw) = arch.board.window(Occupant::Task(dst)) {
+                if let Some(cw) = self.arch.board.window(Occupant::Task(dst)) {
                     let comm = if self.clustering.same_cluster(gid, t, edge.to) {
                         Nanos::ZERO
                     } else {
@@ -780,9 +560,9 @@ impl<'a> Allocator<'a> {
             let mut ready = graph.est();
             for (eid, edge) in graph.predecessors(t) {
                 let src = GlobalTaskId::new(gid, edge.from);
-                let arrival = match arch.board.window(Occupant::Task(src)) {
+                let arrival = match self.arch.board.window(Occupant::Task(src)) {
                     Some(w) => {
-                        let src_pe = self.pe_of_task(&arch, src).ok_or(RejectReason::Internal)?;
+                        let src_pe = self.pe_of_task(src).ok_or(RejectReason::Internal)?;
                         if src_pe == pid {
                             w.finish
                         } else {
@@ -790,7 +570,6 @@ impl<'a> Allocator<'a> {
                             let geid = GlobalEdgeId::new(gid, eid);
 
                             self.place_edge(
-                                &mut arch,
                                 geid,
                                 src_pe,
                                 pid,
@@ -820,8 +599,9 @@ impl<'a> Allocator<'a> {
             }
 
             let start = if is_cpu {
-                match arch.board.place(
-                    arch.pe(pid).resource,
+                match self.journal.place(
+                    &mut self.arch,
+                    resource,
                     Occupant::Task(gt),
                     ready,
                     dur,
@@ -831,7 +611,6 @@ impl<'a> Allocator<'a> {
                     Some(s) => s,
                     None if self.options.preemption => self
                         .place_with_preemption(
-                            &mut arch,
                             pid,
                             gt,
                             ready,
@@ -845,8 +624,9 @@ impl<'a> Allocator<'a> {
                 }
             } else {
                 // Hardware: spatial parallelism, starts exactly when ready.
-                arch.board.record(
-                    arch.pe(pid).resource,
+                self.journal.record(
+                    &mut self.arch,
+                    resource,
                     Occupant::Task(gt),
                     PeriodicInterval::new(ready, dur, period),
                 );
@@ -858,8 +638,8 @@ impl<'a> Allocator<'a> {
             // consumer's start.
             for (eid, edge) in graph.successors(t) {
                 let dst = GlobalTaskId::new(gid, edge.to);
-                if let Some(w) = arch.board.window(Occupant::Task(dst)) {
-                    let dst_pe = self.pe_of_task(&arch, dst).ok_or(RejectReason::Internal)?;
+                if let Some(w) = self.arch.board.window(Occupant::Task(dst)) {
+                    let dst_pe = self.pe_of_task(dst).ok_or(RejectReason::Internal)?;
                     if dst_pe == pid {
                         if finish > w.start {
                             return Err(RejectReason::SuccessorOverlap);
@@ -867,9 +647,7 @@ impl<'a> Allocator<'a> {
                     } else {
                         let geid = GlobalEdgeId::new(gid, eid);
                         let arrive = self
-                            .place_edge(
-                                &mut arch, geid, pid, dst_pe, edge.bytes, finish, period, w.start,
-                            )
+                            .place_edge(geid, pid, dst_pe, edge.bytes, finish, period, w.start)
                             .ok_or(RejectReason::EdgeUnroutable)?;
                         if arrive > w.start {
                             return Err(RejectReason::EdgeUnroutable);
@@ -880,26 +658,26 @@ impl<'a> Allocator<'a> {
         }
 
         // Commit the cluster into the instance's bookkeeping.
-        {
-            let pe = arch.pe_mut(pid);
-            pe.modes[mode_idx].clusters.push(cid);
-            if !pe.modes[mode_idx].graphs.contains(&gid) {
-                pe.modes[mode_idx].graphs.push(gid);
-            }
-            pe.modes[mode_idx].used_hw = pe.modes[mode_idx].used_hw + cluster.hw;
-            pe.memory_used += cluster.memory.total();
-        }
+        self.journal.join(
+            &mut self.arch,
+            pid,
+            mode_idx,
+            cid,
+            gid,
+            cluster.hw,
+            cluster.memory.total(),
+        );
 
         // Multi-mode devices must remain temporally consistent: every
         // cross-image activity envelope pair needs reboot room (only
         // reachable through NewMode targets, i.e. upgrade synthesis).
-        if arch.pe(pid).modes.len() > 1
+        if self.arch.pe(pid).modes.len() > 1
             && !crate::reconfig::device_modes_feasible(
                 self.spec,
                 self.clustering,
                 self.lib,
                 self.options,
-                &arch,
+                &self.arch,
                 pid,
             )
         {
@@ -914,15 +692,17 @@ impl<'a> Allocator<'a> {
         touched_graphs.dedup();
         for g in touched_graphs {
             let graph = self.spec.graph(g);
-            let finishes = self.estimate_graph_finishes(&arch, g);
+            let finishes = self.estimate_graph_finishes(g);
             if !check_deadlines(graph, &finishes).is_empty() {
                 return Err(RejectReason::DeadlineMiss);
             }
             for (eid, edge) in graph.edges() {
-                let consumer = arch
+                let consumer = self
+                    .arch
                     .board
                     .window(Occupant::Task(GlobalTaskId::new(g, edge.to)));
-                let producer_placed = arch
+                let producer_placed = self
+                    .arch
                     .board
                     .window(Occupant::Task(GlobalTaskId::new(g, edge.from)))
                     .is_some();
@@ -938,16 +718,16 @@ impl<'a> Allocator<'a> {
                 }
             }
         }
-        Ok((arch, pid, mode_idx))
+        Ok((pid, mode_idx))
     }
 
     /// Preemption fallback: evict the lowest-priority software task from
     /// the target CPU, place the urgent task, re-place the victim with the
     /// preemption overhead charged, and re-validate the victim's schedule.
+    /// Each victim is tried in place and rolled back if it does not work.
     #[allow(clippy::too_many_arguments)]
     fn place_with_preemption(
-        &self,
-        arch: &mut Architecture,
+        &mut self,
         pid: PeInstanceId,
         gt: GlobalTaskId,
         ready: Nanos,
@@ -956,10 +736,11 @@ impl<'a> Allocator<'a> {
         latest_start: Nanos,
         touched_graphs: &mut Vec<GraphId>,
     ) -> Option<Nanos> {
-        let resource = arch.pe(pid).resource;
+        let resource = self.arch.pe(pid).resource;
         let my_prio = self.priorities[gt.graph.index()][gt.task.index()];
         // Victim candidates: strictly lower-priority tasks on this CPU.
-        let mut victims: Vec<(GlobalTaskId, PeriodicInterval)> = arch
+        let mut victims: Vec<(GlobalTaskId, PeriodicInterval)> = self
+            .arch
             .board
             .timeline(resource)
             .iter()
@@ -972,79 +753,85 @@ impl<'a> Allocator<'a> {
             })
             .collect();
         victims.sort_by_key(|(v, _)| self.priorities[v.graph.index()][v.task.index()]);
+        // The preemption overheads charged to a re-placed victim.
+        let overhead = self.spec.constraints().preemption_overhead
+            + self
+                .lib
+                .pe(self.arch.pe(pid).ty)
+                .as_cpu()
+                .map(|c| c.context_switch)
+                .unwrap_or(Nanos::ZERO);
 
         for (victim, original) in victims.into_iter().take(3) {
-            let mut scratch = arch.clone();
-            scratch.board.remove(Occupant::Task(victim));
-            let Some(start) = scratch.board.place(
+            let mark = self.journal.mark(&self.arch);
+            self.journal.take(&mut self.arch, Occupant::Task(victim));
+            let start = self.journal.place(
+                &mut self.arch,
                 resource,
                 Occupant::Task(gt),
                 ready,
                 dur,
                 period,
                 latest_start,
-            ) else {
-                continue;
-            };
-            // Re-place the victim with the preemption overheads charged.
-            let overhead = self.spec.constraints().preemption_overhead
-                + self
-                    .lib
-                    .pe(scratch.pe(pid).ty)
-                    .as_cpu()
-                    .map(|c| c.context_switch)
-                    .unwrap_or(Nanos::ZERO);
-            let new_dur = original.duration() + overhead;
-            let vlf = self.latest_finish[victim.graph.index()][victim.task.index()];
-            let vperiod = original.period();
-            let Some(vstart) = scratch.board.place(
-                resource,
-                Occupant::Task(victim),
-                original.start(),
-                new_dur,
-                vperiod,
-                vlf.saturating_sub(new_dur),
-            ) else {
-                continue;
-            };
-            let vfinish = vstart + new_dur;
-            // The victim's already-scheduled outgoing edges must still
-            // start after it finishes.
-            let vgraph = self.spec.graph(victim.graph);
-            let ok = vgraph.successors(victim.task).all(|(eid, _)| {
-                match scratch
-                    .board
-                    .window(Occupant::Edge(GlobalEdgeId::new(victim.graph, eid)))
-                {
-                    Some(w) => w.start >= vfinish,
-                    None => true,
+            );
+            match start {
+                Some(start) if self.replace_victim(pid, victim, original, overhead) => {
+                    touched_graphs.push(victim.graph);
+                    self.options.observer.emit(|| Event::Preemption {
+                        victim: Occupant::Task(victim).to_string(),
+                        resource: resource.index() as u64,
+                    });
+                    return Some(start);
                 }
-            }) && vgraph.successors(victim.task).all(|(_, edge)| {
-                match scratch
-                    .board
-                    .window(Occupant::Task(GlobalTaskId::new(victim.graph, edge.to)))
-                {
-                    // Same-PE consumers with no edge in between.
-                    Some(w) => {
-                        w.start >= vfinish
-                            || self.pe_of_task(&scratch, GlobalTaskId::new(victim.graph, edge.to))
-                                != Some(pid)
-                    }
-                    None => true,
-                }
-            });
-            if !ok {
-                continue;
+                _ => self.journal.rollback(&mut self.arch, mark),
             }
-            *arch = scratch;
-            touched_graphs.push(victim.graph);
-            self.options.observer.emit(|| Event::Preemption {
-                victim: Occupant::Task(victim).to_string(),
-                resource: resource.index() as u64,
-            });
-            return Some(start);
         }
         None
+    }
+
+    /// Re-places a preemption `victim` on `pid` with `overhead` added to
+    /// its `original` busy time, then checks that its already-scheduled
+    /// outgoing edges and same-PE consumers still start after it.
+    fn replace_victim(
+        &mut self,
+        pid: PeInstanceId,
+        victim: GlobalTaskId,
+        original: PeriodicInterval,
+        overhead: Nanos,
+    ) -> bool {
+        let resource = self.arch.pe(pid).resource;
+        let new_dur = original.duration() + overhead;
+        let vlf = self.latest_finish[victim.graph.index()][victim.task.index()];
+        let Some(vstart) = self.journal.place(
+            &mut self.arch,
+            resource,
+            Occupant::Task(victim),
+            original.start(),
+            new_dur,
+            original.period(),
+            vlf.saturating_sub(new_dur),
+        ) else {
+            return false;
+        };
+        let vfinish = vstart + new_dur;
+        let vgraph = self.spec.graph(victim.graph);
+        vgraph.successors(victim.task).all(|(eid, _)| {
+            match self
+                .arch
+                .board
+                .window(Occupant::Edge(GlobalEdgeId::new(victim.graph, eid)))
+            {
+                Some(w) => w.start >= vfinish,
+                None => true,
+            }
+        }) && vgraph.successors(victim.task).all(|(_, edge)| {
+            let consumer = GlobalTaskId::new(victim.graph, edge.to);
+            match self.arch.board.window(Occupant::Task(consumer)) {
+                // Same-PE consumers with no edge in between.
+                Some(w) => w.start >= vfinish || self.pe_of_task(consumer) != Some(pid),
+                None => true,
+            }
+        })
     }
 
     /// Schedules an inter-PE edge on a link connecting `src_pe` and
@@ -1063,8 +850,7 @@ impl<'a> Allocator<'a> {
     /// fits within `limit`.
     #[allow(clippy::too_many_arguments)]
     fn place_edge(
-        &self,
-        arch: &mut Architecture,
+        &mut self,
         geid: GlobalEdgeId,
         src_pe: PeInstanceId,
         dst_pe: PeInstanceId,
@@ -1075,7 +861,7 @@ impl<'a> Allocator<'a> {
     ) -> Option<Nanos> {
         let occupant = Occupant::Edge(geid);
         // Already placed (both endpoints were placed in an earlier step).
-        if let Some(w) = arch.board.window(occupant) {
+        if let Some(w) = self.arch.board.window(occupant) {
             return Some(w.finish);
         }
 
@@ -1086,7 +872,7 @@ impl<'a> Allocator<'a> {
             Create(crusade_model::LinkTypeId),
         }
         let mut options: Vec<(Dollars, Nanos, LinkOption)> = Vec::new();
-        for (id, l) in arch.links() {
+        for (id, l) in self.arch.links() {
             let has_src = l.attached.contains(&src_pe);
             let has_dst = l.attached.contains(&dst_pe);
             let dur = self.lib.link(l.ty).worst_transfer_time(bytes);
@@ -1116,7 +902,7 @@ impl<'a> Allocator<'a> {
         // window the link is.
         let needs_cpu = |pid: PeInstanceId| {
             self.lib
-                .pe(arch.pe(pid).ty)
+                .pe(self.arch.pe(pid).ty)
                 .as_cpu()
                 .map(|c| !c.comm_overlap)
                 .unwrap_or(false)
@@ -1124,7 +910,7 @@ impl<'a> Allocator<'a> {
         let mut cpu_sides: Vec<(crusade_sched::ResourceId, Occupant)> = Vec::new();
         if needs_cpu(src_pe) {
             cpu_sides.push((
-                arch.pe(src_pe).resource,
+                self.arch.pe(src_pe).resource,
                 Occupant::CpuTransfer {
                     edge: geid,
                     receiver: false,
@@ -1133,7 +919,7 @@ impl<'a> Allocator<'a> {
         }
         if needs_cpu(dst_pe) {
             cpu_sides.push((
-                arch.pe(dst_pe).resource,
+                self.arch.pe(dst_pe).resource,
                 Occupant::CpuTransfer {
                     edge: geid,
                     receiver: true,
@@ -1148,20 +934,20 @@ impl<'a> Allocator<'a> {
                 continue;
             }
             // Materialise the link lazily: for Create this instantiates
-            // hardware, which is rolled back below if the slot search
-            // fails.
+            // hardware, which is retired below if the slot search fails
+            // (the slot is new in this attempt, so undoing its creation
+            // also undoes the retirement).
             let (link_resource, created) = match &option {
-                LinkOption::Use(id) | LinkOption::Extend(id, _) => (arch.link(*id).resource, None),
+                LinkOption::Use(id) | LinkOption::Extend(id, _) => {
+                    (self.arch.link(*id).resource, None)
+                }
                 LinkOption::Create(ty) => {
-                    let id = arch.add_link(*ty);
-                    let l = arch.link_mut(id);
-                    l.attached.push(src_pe);
-                    l.attached.push(dst_pe);
-                    (arch.link(id).resource, Some(id))
+                    let id = self.journal.add_link(&mut self.arch, *ty, [src_pe, dst_pe]);
+                    (self.arch.link(id).resource, Some(id))
                 }
             };
             let slot = find_transfer_slot(
-                &arch.board,
+                &self.arch.board,
                 link_resource,
                 &cpu_sides,
                 ready,
@@ -1169,50 +955,29 @@ impl<'a> Allocator<'a> {
                 period,
                 latest_start,
             );
-            match slot {
-                Some(start) => {
-                    // The fixpoint search verified the slot on every
-                    // resource, but treat placement defensively: if any
-                    // leg disagrees, roll this option back and continue
-                    // with the next instead of panicking mid-synthesis.
-                    let mut placed: Vec<Occupant> = Vec::new();
-                    let mut ok = arch
-                        .board
-                        .place(link_resource, occupant, start, dur, period, start)
-                        .is_some();
-                    if ok {
-                        placed.push(occupant);
-                        for &(r, occ) in &cpu_sides {
-                            if arch
-                                .board
-                                .place(r, occ, start, dur, period, start)
-                                .is_some()
-                            {
-                                placed.push(occ);
-                            } else {
-                                ok = false;
-                                break;
-                            }
-                        }
+            if let Some(start) = slot {
+                // The fixpoint search verified the slot on every
+                // resource, but treat placement defensively: if any leg
+                // disagrees, roll this option's legs back and continue
+                // with the next instead of panicking mid-synthesis.
+                let legs = self.journal.mark(&self.arch);
+                let placed = std::iter::once((link_resource, occupant))
+                    .chain(cpu_sides.iter().copied())
+                    .all(|(r, occ)| {
+                        self.journal
+                            .place(&mut self.arch, r, occ, start, dur, period, start)
+                            .is_some()
+                    });
+                if placed {
+                    if let LinkOption::Extend(id, missing) = option {
+                        self.journal.attach(&mut self.arch, id, missing);
                     }
-                    if ok {
-                        if let LinkOption::Extend(id, missing) = option {
-                            arch.link_mut(id).attached.push(missing);
-                        }
-                        return Some(start + dur);
-                    }
-                    for occ in placed {
-                        arch.board.remove(occ);
-                    }
-                    if let Some(id) = created {
-                        arch.link_mut(id).retired = true;
-                    }
+                    return Some(start + dur);
                 }
-                None => {
-                    if let Some(id) = created {
-                        arch.link_mut(id).retired = true;
-                    }
-                }
+                self.journal.rollback(&mut self.arch, legs);
+            }
+            if let Some(id) = created {
+                self.arch.link_mut(id).retired = true;
             }
         }
         None
@@ -1237,13 +1002,14 @@ impl<'a> Allocator<'a> {
     /// now cannot strand a later cluster of the same graph (whatever PE
     /// type that cluster ends up on, it can do no worse than the slowest
     /// entry of its execution vector).
-    fn estimate_graph_finishes(&self, arch: &Architecture, g: GraphId) -> Vec<Nanos> {
+    fn estimate_graph_finishes(&self, g: GraphId) -> Vec<Nanos> {
         let graph = self.spec.graph(g);
+        let board = &self.arch.board;
         estimate_finish_times(
             graph,
-            |t| arch.board.window(Occupant::Task(GlobalTaskId::new(g, t))),
+            |t| board.window(Occupant::Task(GlobalTaskId::new(g, t))),
             |t| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO),
-            |e| arch.board.window(Occupant::Edge(GlobalEdgeId::new(g, e))),
+            |e| board.window(Occupant::Edge(GlobalEdgeId::new(g, e))),
             |e| {
                 let edge = graph.edge(e);
                 if self.clustering.same_cluster(g, edge.from, edge.to) {
@@ -1256,21 +1022,18 @@ impl<'a> Allocator<'a> {
     }
 
     /// The PE instance hosting a placed task.
-    fn pe_of_task(&self, arch: &Architecture, gt: GlobalTaskId) -> Option<PeInstanceId> {
-        let r = arch.board.resource_of(Occupant::Task(gt))?;
-        arch.pes().find(|(_, p)| p.resource == r).map(|(id, _)| id)
+    fn pe_of_task(&self, gt: GlobalTaskId) -> Option<PeInstanceId> {
+        let r = self.arch.board.resource_of(Occupant::Task(gt))?;
+        self.arch
+            .pes()
+            .find(|(_, p)| p.resource == r)
+            .map(|(id, _)| id)
     }
 
     /// Public window lookup used by the synthesis driver's reporting.
     pub fn window_of(&self, gt: GlobalTaskId) -> Option<Window> {
         self.arch.board.window(Occupant::Task(gt))
     }
-}
-
-/// The PE type id of an instance (helper kept free to appease borrowck in
-/// `try_target`).
-fn pe_ty_id(arch: &Architecture, pid: PeInstanceId) -> PeTypeId {
-    arch.pe(pid).ty
 }
 
 /// Finds the earliest start `>= ready` at which the link *and* every
@@ -1303,3 +1066,7 @@ fn find_transfer_slot(
     }
     None
 }
+
+#[cfg(test)]
+#[path = "rollback_tests.rs"]
+mod rollback_tests;

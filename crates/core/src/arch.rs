@@ -200,6 +200,22 @@ impl Architecture {
         id
     }
 
+    /// Drops the newest PE slot and its board resource: the undo of
+    /// [`add_pe`](Self::add_pe) once everything placed on it is gone.
+    pub(crate) fn pop_pe(&mut self) {
+        self.pes.pop();
+        let popped = self.board.pop_resource();
+        debug_assert!(popped, "the newest PE's resource is the last one");
+    }
+
+    /// Drops the newest link slot and its board resource: the undo of
+    /// [`add_link`](Self::add_link) once everything placed on it is gone.
+    pub(crate) fn pop_link(&mut self) {
+        self.links.pop();
+        let popped = self.board.pop_resource();
+        debug_assert!(popped, "the newest link's resource is the last one");
+    }
+
     /// Accesses a PE instance.
     ///
     /// # Panics

@@ -37,6 +37,7 @@ mod arch;
 mod audit_hook;
 mod cluster;
 mod error;
+mod journal;
 mod options;
 mod policy;
 mod portfolio;

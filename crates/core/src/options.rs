@@ -48,12 +48,6 @@ pub struct CosynOptions {
     /// Error-level lints (proved infeasibilities) abort synthesis with
     /// [`crate::SynthesisError::LintRejected`] before any allocation work.
     pub lint: bool,
-    /// Whether the allocator consults the static pruning oracle to skip
-    /// provably-dead allocation candidates. On by default: pruned
-    /// candidates would fail the allocator's own checks, so the final
-    /// architecture is identical — only wasted placement attempts are
-    /// saved (counted in [`crate::SynthesisReport`]).
-    pub pruning: bool,
     /// The portfolio policy of this run: deterministic perturbations and
     /// knob overrides a multi-start exploration varies between otherwise
     /// identical runs. The default ([`SynthesisPolicy::baseline`]) is the
@@ -78,7 +72,6 @@ impl Default for CosynOptions {
             image_sharing: true,
             audit: false,
             lint: false,
-            pruning: true,
             policy: SynthesisPolicy::baseline(),
             observer: ObserverHandle::none(),
         }
@@ -106,12 +99,6 @@ impl CosynOptions {
     /// infeasible specifications before allocation starts.
     pub fn with_lint(mut self) -> Self {
         self.lint = true;
-        self
-    }
-
-    /// Disables the allocation pruning oracle (ablation / benchmarking).
-    pub fn without_pruning(mut self) -> Self {
-        self.pruning = false;
         self
     }
 

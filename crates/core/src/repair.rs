@@ -222,7 +222,7 @@ pub fn repair(
     // re-synthesis with un-merge fallback (shared with the online
     // re-synthesis engine in `resyn`).
     let mut retries_used = 0usize;
-    let (mut repaired, moved, added_cost, _counters) = place_with_retry(
+    let (mut repaired, moved, added_cost, _tried) = place_with_retry(
         spec,
         lib,
         options,
@@ -300,8 +300,8 @@ pub(crate) fn check_clustering(
 ///
 /// A successful bounded placement: the repaired architecture, the
 /// clusters re-placed in allocation order, the incremental dollar cost
-/// of new parts, and the allocator's candidate counters.
-pub(crate) type Placement = (Architecture, Vec<ClusterId>, Dollars, (usize, usize));
+/// of new parts, and the allocator's count of candidates tried.
+pub(crate) type Placement = (Architecture, Vec<ClusterId>, Dollars, usize);
 
 /// On success returns the architecture, the clusters re-placed (in
 /// allocation order) and the incremental dollar cost of new parts.
@@ -342,8 +342,8 @@ pub(crate) fn place_with_retry(
                     .flatten()
                     .map(|d| d.added_cost)
                     .sum();
-                let counters = allocator.candidate_counters();
-                return Ok((allocator.arch, to_place, added, counters));
+                let tried = allocator.candidates_tried();
+                return Ok((allocator.arch, to_place, added, tried));
             }
             Some((cid, reason)) => {
                 if *retries_used >= retry_budget {

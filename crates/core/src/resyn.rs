@@ -242,7 +242,7 @@ pub fn warm_resynthesize(
                 lib,
                 incumbent,
                 old_clustering.cluster_count(),
-                (0, 0),
+                0,
                 t0,
             );
             return Ok(WarmOutcome {
@@ -380,7 +380,7 @@ pub fn warm_resynthesize(
         .collect();
 
     let mut retries_used = 0usize;
-    let (mut repaired, moved, added_cost, counters) = place_with_retry(
+    let (mut repaired, moved, added_cost, tried) = place_with_retry(
         spec_after,
         lib,
         &options,
@@ -406,7 +406,7 @@ pub fn warm_resynthesize(
     }
 
     let cluster_count = new_clustering.cluster_count();
-    let report = refreshed_report(&repaired, lib, incumbent, cluster_count, counters, t0);
+    let report = refreshed_report(&repaired, lib, incumbent, cluster_count, tried, t0);
     Ok(WarmOutcome {
         result: SynthesisResult {
             architecture: repaired,
@@ -482,7 +482,7 @@ pub fn widened_resynthesize(
         .map_err(|e| WarmFailure::Repair(RepairError::Internal(e.to_string())))?;
     let pending: BTreeSet<ClusterId> = new_clustering.clusters().map(|(id, _)| id).collect();
     let mut retries_used = 0usize;
-    let (mut repaired, moved, added_cost, counters) = place_with_retry(
+    let (mut repaired, moved, added_cost, tried) = place_with_retry(
         spec_after,
         lib,
         &options,
@@ -508,7 +508,7 @@ pub fn widened_resynthesize(
     }
 
     let cluster_count = new_clustering.cluster_count();
-    let report = refreshed_report(&repaired, lib, incumbent, cluster_count, counters, t0);
+    let report = refreshed_report(&repaired, lib, incumbent, cluster_count, tried, t0);
     Ok(WarmOutcome {
         result: SynthesisResult {
             architecture: repaired,
@@ -552,7 +552,7 @@ fn refreshed_report(
     lib: &ResourceLibrary,
     incumbent: &SynthesisResult,
     cluster_count: usize,
-    (candidates_tried, candidates_pruned): (usize, usize),
+    candidates_tried: usize,
     t0: Instant,
 ) -> SynthesisReport {
     let multi_mode_devices = arch.pes().filter(|(_, p)| p.modes.len() > 1).count();
@@ -567,7 +567,6 @@ fn refreshed_report(
         total_modes,
         cluster_count,
         candidates_tried,
-        candidates_pruned,
     }
 }
 

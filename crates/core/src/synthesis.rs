@@ -45,9 +45,6 @@ pub struct SynthesisReport {
     pub cluster_count: usize,
     /// Allocation candidates actually evaluated (scheduling attempted).
     pub candidates_tried: usize,
-    /// Allocation candidates skipped by the static pruning oracle
-    /// ([`CosynOptions::pruning`]) without any scheduling work.
-    pub candidates_pruned: usize,
 }
 
 /// Everything a synthesis run produces.
@@ -210,7 +207,7 @@ impl<'a> CoSynthesis<'a> {
             }
             allocator.allocate(cid)?;
         }
-        let (candidates_tried, candidates_pruned) = allocator.candidate_counters();
+        let candidates_tried = allocator.candidates_tried();
         let mut arch = allocator.arch;
         drop(alloc_span);
 
@@ -244,14 +241,13 @@ impl<'a> CoSynthesis<'a> {
             total_modes,
             cluster_count: clustering.cluster_count(),
             candidates_tried,
-            candidates_pruned,
         };
         options.observer.emit(|| Event::SynthesisComplete {
             cost: report.cost.amount(),
             pes: report.pe_count as u64,
             links: report.link_count as u64,
             attempts: report.candidates_tried as u64,
-            pruned: report.candidates_pruned as u64,
+            pruned: 0,
         });
         let result = SynthesisResult {
             architecture: arch,

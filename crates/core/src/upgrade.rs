@@ -95,7 +95,7 @@ pub fn upgrade_in_field(
     for cid in cluster_ids {
         allocator.allocate(cid)?;
     }
-    let (candidates_tried, candidates_pruned) = allocator.candidate_counters();
+    let candidates_tried = allocator.candidates_tried();
     let mut arch = allocator.arch;
 
     // Drop images that ended up unused (opened speculatively), keeping at
@@ -129,7 +129,6 @@ pub fn upgrade_in_field(
         total_modes,
         cluster_count: clustering.cluster_count(),
         candidates_tried,
-        candidates_pruned,
     };
     Ok(UpgradeResult {
         synthesis: SynthesisResult {

@@ -6,79 +6,13 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
 use crusade_core::{CoSynthesis, CosynOptions};
-use crusade_model::{
-    CpuAttrs, Dollars, ExecutionTimes, GlobalTaskId, GraphId, LinkClass, LinkType, Nanos, PeClass,
-    PeType, PeTypeId, ResourceLibrary, SystemConstraints, SystemSpec, Task, TaskGraph,
-    TaskGraphBuilder, TaskId,
-};
+use crusade_model::{GlobalTaskId, GraphId, Nanos, SystemSpec, TaskId};
 use crusade_sched::Occupant;
 
-fn library() -> ResourceLibrary {
-    let mut lib = ResourceLibrary::new();
-    lib.add_pe(PeType::new(
-        "cpu",
-        Dollars::new(100),
-        PeClass::Cpu(CpuAttrs {
-            memory_bytes: 4 << 20,
-            context_switch: Nanos::from_micros(10),
-            comm_ports: 2,
-            comm_overlap: true,
-        }),
-    ));
-    lib.add_link(LinkType::new(
-        "bus",
-        Dollars::new(10),
-        LinkClass::Bus,
-        8,
-        vec![Nanos::from_nanos(300)],
-        64,
-        Nanos::from_micros(1),
-    ));
-    lib
-}
+#[path = "support/preemption_spec.rs"]
+mod preemption_spec;
 
-/// A two-task chain whose *cluster* carries top priority (the head has a
-/// very tight own deadline) but whose long tail task itself has deep
-/// slack — the designated preemption victim.
-fn background() -> TaskGraph {
-    let mut b = TaskGraphBuilder::new("background", Nanos::from_millis(10));
-    let mut head = Task::new(
-        "head",
-        ExecutionTimes::from_entries(1, [(PeTypeId::new(0), Nanos::from_micros(500))]),
-    );
-    head.deadline = Some(Nanos::from_millis(1));
-    let head = b.add_task(head);
-    let tail = b.add_task(Task::new(
-        "bulk",
-        ExecutionTimes::from_entries(1, [(PeTypeId::new(0), Nanos::from_millis(6))]),
-    ));
-    b.add_edge(head, tail, 16);
-    b.deadline(Nanos::from_millis(10)).build().unwrap()
-}
-
-/// An urgent short task released mid-way through the bulk task's window,
-/// with a deadline only preemption (or a second CPU) can meet. Its
-/// priority sits between the head's and the bulk's, so its cluster
-/// allocates *after* the background chain is already placed.
-fn urgent() -> TaskGraph {
-    let mut b = TaskGraphBuilder::new("urgent", Nanos::from_millis(10));
-    b.add_task(Task::new(
-        "alarm",
-        ExecutionTimes::from_entries(1, [(PeTypeId::new(0), Nanos::from_micros(500))]),
-    ));
-    b.est(Nanos::from_millis(2))
-        .deadline(Nanos::from_micros(1_200))
-        .build()
-        .unwrap()
-}
-
-fn constraints() -> SystemConstraints {
-    SystemConstraints {
-        boot_time_requirement: Nanos::from_millis(5),
-        preemption_overhead: Nanos::from_micros(50),
-        average_link_ports: 2,
-    }
-}
+use preemption_spec::{background, constraints, library, tight_background, urgent};
 
 #[test]
 fn urgent_task_preempts_background_on_one_cpu() {
@@ -140,22 +74,7 @@ fn preemption_respects_the_victims_deadline() {
     // Make the background task's own deadline tight enough that being
     // preempted would break it: the allocator must then scale out instead.
     let lib = library();
-    let mut b = TaskGraphBuilder::new("tightbg", Nanos::from_millis(10));
-    let mut head = Task::new(
-        "head",
-        ExecutionTimes::from_entries(1, [(PeTypeId::new(0), Nanos::from_micros(500))]),
-    );
-    head.deadline = Some(Nanos::from_millis(1));
-    let head = b.add_task(head);
-    let tail = b.add_task(Task::new(
-        "bulk",
-        ExecutionTimes::from_entries(1, [(PeTypeId::new(0), Nanos::from_millis(6))]),
-    ));
-    b.add_edge(head, tail, 16);
-    // Finishing at 0.5 + 6 = 6.5 ms leaves no room for a 0.55 ms
-    // preemption hit under a 6.6 ms graph deadline.
-    let tight_bg = b.deadline(Nanos::from_micros(6_600)).build().unwrap();
-    let spec = SystemSpec::new(vec![tight_bg, urgent()]).with_constraints(constraints());
+    let spec = SystemSpec::new(vec![tight_background(), urgent()]).with_constraints(constraints());
     let r = CoSynthesis::new(&spec, &lib).run().unwrap();
     // Preempting would push bulk past 6.05 ms; a second CPU appears and
     // every deadline still holds.

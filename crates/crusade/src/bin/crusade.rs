@@ -424,8 +424,8 @@ fn flag_usize(args: &[String], name: &str) -> Result<Option<usize>, String> {
 /// synthesis policies and prints the cheapest audit-clean winner.
 ///
 /// The winner line on stdout is deterministic — bit-identical regardless
-/// of `--jobs`. Schedule-dependent statistics (cache hit-rate, pruning
-/// counts) go to stderr.
+/// of `--jobs`. Schedule-dependent statistics (cache hit-rate,
+/// domination counts) go to stderr.
 fn cmd_explore(args: &[String]) -> Result<u8, String> {
     let arg = args
         .first()

@@ -166,7 +166,8 @@ pub struct MemberReport {
 pub struct ExploreStats {
     /// Portfolio size.
     pub portfolio: usize,
-    /// Worker threads used.
+    /// Worker threads used: the requested jobs, capped at the portfolio
+    /// size.
     pub jobs: usize,
     /// Members that completed audit-clean.
     pub clean: usize,
@@ -334,7 +335,7 @@ pub fn explore_portfolio(
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<MemberOutcome>>> =
         policies.iter().map(|_| Mutex::new(None)).collect();
-    let workers = config.jobs.max(1).min(policies.len().max(1));
+    let workers = worker_count(config, policies.len());
 
     thread::scope(|s| {
         for _ in 0..workers {
@@ -440,6 +441,12 @@ pub fn explore_traced(
     })
 }
 
+/// Worker threads for a portfolio of `members`: the requested jobs,
+/// never more than there are members to run.
+fn worker_count(config: &ExploreConfig, members: usize) -> usize {
+    config.jobs.max(1).min(members.max(1))
+}
+
 /// What one worker records for one member.
 enum MemberOutcome {
     Clean(Box<SynthesisResult>),
@@ -536,7 +543,7 @@ fn reduce(
 ) -> Result<ExploreOutcome, ExploreError> {
     let mut stats = ExploreStats {
         portfolio: policies.len(),
-        jobs: config.jobs.max(1),
+        jobs: worker_count(config, policies.len()),
         clean: 0,
         dominated: 0,
         skipped_by_bound: 0,

@@ -42,6 +42,15 @@ fn random_specs_same_winner_at_any_job_count() {
                     fingerprint(&p),
                     "seed {seed}: winner differs between 1 and 4 jobs"
                 );
+                // More jobs than the portfolio's 6 members: one member
+                // per worker, and the stats report the workers run.
+                let wide = run(&spec, &lib.lib, 8).unwrap();
+                assert_eq!(
+                    fingerprint(&wide),
+                    fingerprint(&s),
+                    "seed {seed}: winner differs between 1 and 8 jobs"
+                );
+                assert_eq!(wide.stats.jobs, 6, "seed {seed}: workers actually run");
                 feasible += 1;
             }
             (None, None) => {} // Infeasible either way is consistent.

@@ -1,10 +1,8 @@
-//! Feasibility primitives shared by the lint analyses and by
-//! `crusade-core`'s allocation pruning oracle.
+//! Feasibility primitives of the lint analyses.
 //!
 //! Everything here computes *necessary* conditions: a task/type pair
 //! rejected by these bounds is provably rejected by the allocator too
-//! (the allocator's dynamic checks are at least as strict), so pruning
-//! on them can never change the synthesized architecture.
+//! (the allocator's dynamic checks are at least as strict).
 
 use crusade_model::{
     EdgeId, Nanos, PeClass, PeType, PeTypeId, ResourceLibrary, Task, TaskGraph, TaskId,

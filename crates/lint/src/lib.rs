@@ -22,11 +22,6 @@
 //! 5. **Reconfiguration-mode analysis** — declared-compatible graphs
 //!    whose mandatory execution windows provably collide.
 //!
-//! The same necessary-condition machinery doubles as the allocator's
-//! [`PruningOracle`]: candidates it rejects would provably fail the
-//! allocator's own scheduling checks, so pruning never changes the
-//! synthesized architecture — it only skips dead work.
-//!
 //! # Examples
 //!
 //! ```
@@ -60,7 +55,7 @@ mod analyses;
 pub mod bounds;
 mod diagnostics;
 
-use crusade_model::{Dollars, GraphId, Nanos, PeTypeId, ResourceLibrary, SystemSpec, TaskId};
+use crusade_model::{Dollars, ResourceLibrary, SystemSpec};
 
 pub use diagnostics::{Lint, LintReport, Severity};
 
@@ -139,51 +134,4 @@ pub fn cost_lower_bound(
         })
         .unwrap_or(Dollars::ZERO);
     floor
-}
-
-/// Cached necessary-condition data the allocator consults to skip
-/// provably-dead allocation candidates.
-///
-/// For every task it holds the capacity-aware feasible-PE set and a
-/// lower bound on the task's start instant under *any* schedule (forward
-/// sweep with the fastest feasible execution times and per-edge
-/// communication lower bounds). A candidate PE type is dead for a
-/// cluster when some member is infeasible on it, or when the member's
-/// earliest possible start plus its execution time on that type
-/// overshoots the allocator's own latest-finish bound — the exact
-/// condition under which the allocator's placement attempt must fail.
-#[derive(Debug, Clone)]
-pub struct PruningOracle {
-    feasible: Vec<Vec<Vec<PeTypeId>>>,
-    earliest_start: Vec<Vec<Nanos>>,
-}
-
-impl PruningOracle {
-    /// Builds the oracle. The specification must already be validated.
-    pub fn build(spec: &SystemSpec, lib: &ResourceLibrary, options: &LintOptions) -> Self {
-        let ctx = analyses::Context::build(spec, lib, options);
-        PruningOracle {
-            earliest_start: ctx
-                .bounds
-                .iter()
-                .map(|b| b.earliest_start.clone())
-                .collect(),
-            feasible: ctx.feasible,
-        }
-    }
-
-    /// The capacity-aware feasible PE types of one task.
-    pub fn feasible(&self, graph: GraphId, task: TaskId) -> &[PeTypeId] {
-        &self.feasible[graph.index()][task.index()]
-    }
-
-    /// Whether `ty` is in the task's feasible set.
-    pub fn allows(&self, graph: GraphId, task: TaskId, ty: PeTypeId) -> bool {
-        self.feasible(graph, task).contains(&ty)
-    }
-
-    /// Lower bound on the task's start instant under any schedule.
-    pub fn earliest_start(&self, graph: GraphId, task: TaskId) -> Nanos {
-        self.earliest_start[graph.index()][task.index()]
-    }
 }

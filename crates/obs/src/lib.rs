@@ -145,7 +145,9 @@ pub enum Event {
         /// First gate the candidate failed.
         reason: RejectReason,
     },
-    /// The pruning oracle removed candidates before scheduling.
+    /// Candidates removed before scheduling. Nothing emits this: the
+    /// allocator tries every candidate. The variant stays so existing
+    /// consumers keep parsing and matching it.
     CandidatesPruned {
         /// Cluster being allocated.
         cluster: u64,
@@ -269,7 +271,8 @@ pub enum Event {
         links: u64,
         /// Scheduling attempts (allocation candidates tried).
         attempts: u64,
-        /// Allocation candidates pruned before scheduling.
+        /// Allocation candidates pruned before scheduling: always 0,
+        /// kept so the record's shape (and committed traces) stay stable.
         pruned: u64,
     },
     /// Online re-synthesis applied one specification delta.

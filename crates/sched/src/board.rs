@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crusade_model::Nanos;
 use crusade_obs::{Event, ObserverHandle};
 
-use crate::{Occupant, PeriodicInterval, Timeline, Window};
+use crate::{Occupant, PeriodicInterval, Placed, Timeline, Window};
 
 /// Identifies one schedulable resource (a PE mode's execution engine or a
 /// link) on a [`ScheduleBoard`].
@@ -48,6 +48,16 @@ impl std::fmt::Display for ResourceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "r{}", self.0)
     }
+}
+
+/// A placement lifted off a [`ScheduleBoard`] by
+/// [`take`](ScheduleBoard::take): the occupancy and where it sat, so that
+/// [`restore`](ScheduleBoard::restore) can put it back exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Taken {
+    resource: ResourceId,
+    position: usize,
+    placed: Placed,
 }
 
 /// All timelines of a candidate architecture plus the occupant index.
@@ -88,8 +98,8 @@ impl ScheduleBoard {
 
     /// Installs (or clears) the structured-event observer. Every
     /// subsequent [`place`](Self::place) and [`record`](Self::record) —
-    /// including ones on scratch clones of this board, which share the
-    /// handle — emits a `Placement` event with the slot that was chosen.
+    /// including ones on clones of this board, which share the handle —
+    /// emits a `Placement` event with the slot that was chosen.
     pub fn set_observer(&mut self, observer: ObserverHandle) {
         self.observer = observer;
     }
@@ -193,12 +203,49 @@ impl ScheduleBoard {
 
     /// Removes an occupant's placement; returns `true` if it was placed.
     pub fn remove(&mut self, occupant: Occupant) -> bool {
-        match self.index.remove(&occupant) {
-            Some((resource, _)) => {
-                self.timelines[resource.index()].remove(occupant);
-                true
-            }
-            None => false,
+        self.take(occupant).is_some()
+    }
+
+    /// Lifts an occupant off the board and returns what
+    /// [`restore`](Self::restore) needs to put it back at the same
+    /// timeline position. `None` when it is not placed.
+    pub fn take(&mut self, occupant: Occupant) -> Option<Taken> {
+        let (resource, _) = self.index.remove(&occupant)?;
+        let (position, placed) = self.timelines[resource.index()].take(occupant)?;
+        Some(Taken {
+            resource,
+            position,
+            placed,
+        })
+    }
+
+    /// Puts back a placement lifted by [`take`](Self::take), at its old
+    /// timeline position. Emits no event: it undoes, it does not place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the resource is unknown or its timeline has shrunk
+    /// below the recorded position since the take.
+    pub fn restore(&mut self, taken: Taken) {
+        let Taken {
+            resource,
+            position,
+            placed,
+        } = taken;
+        self.timelines[resource.index()].restore(position, placed);
+        self.index
+            .insert(placed.occupant, (resource, placed.interval));
+    }
+
+    /// Unregisters the most recently added resource — the undo of
+    /// [`add_resource`](Self::add_resource). Returns `false`, leaving the
+    /// board unchanged, when there is none or its timeline is not empty.
+    pub fn pop_resource(&mut self) -> bool {
+        if self.timelines.last().is_some_and(Timeline::is_empty) {
+            self.timelines.pop();
+            true
+        } else {
+            false
         }
     }
 
@@ -309,6 +356,69 @@ mod tests {
         b.place(r0, occ(0), ns(0), ns(10), ns(100), Nanos::MAX)
             .unwrap();
         let _ = b.place(r0, occ(0), ns(50), ns(10), ns(100), Nanos::MAX);
+    }
+
+    /// Debug output covers every timeline in order plus the index, so
+    /// equal strings mean equal boards, order included.
+    fn dump(b: &ScheduleBoard) -> String {
+        format!("{b:?}")
+    }
+
+    /// Two resources, three placements on the first.
+    fn board() -> ScheduleBoard {
+        let mut b = ScheduleBoard::new();
+        let r0 = b.add_resource();
+        b.add_resource();
+        for i in 0..3 {
+            b.place(r0, occ(i), ns(0), ns(10), ns(100), Nanos::MAX)
+                .unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn take_then_restore_is_exact() {
+        let original = board();
+        for i in 0..3 {
+            let mut b = original.clone();
+            let taken = b.take(occ(i)).unwrap();
+            assert_eq!(b.window(occ(i)), None);
+            assert_eq!(b.placement_count(), 2);
+            b.restore(taken);
+            assert_eq!(dump(&b), dump(&original), "after taking occ({i})");
+        }
+        assert_eq!(original.clone().take(occ(9)), None);
+    }
+
+    #[test]
+    fn place_then_remove_is_exact() {
+        let original = board();
+        let mut b = original.clone();
+        let (r0, r1) = (ResourceId::new(0), ResourceId::new(1));
+        b.place(r0, occ(3), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        b.record(r1, occ(4), PeriodicInterval::new(ns(0), ns(10), ns(100)));
+        assert!(b.remove(occ(4)));
+        assert!(b.remove(occ(3)));
+        assert_eq!(dump(&b), dump(&original));
+        // Not the latest placement: removed where it sits, order kept.
+        assert!(b.remove(occ(0)));
+        let left: Vec<_> = b.timeline(r0).iter().map(|p| p.occupant).collect();
+        assert_eq!(left, [occ(1), occ(2)]);
+    }
+
+    #[test]
+    fn pop_resource_undoes_add_resource() {
+        let original = board();
+        let mut b = original.clone();
+        let r = b.add_resource();
+        b.place(r, occ(5), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        assert!(!b.pop_resource(), "an occupied resource stays");
+        b.remove(occ(5));
+        assert!(b.pop_resource());
+        assert_eq!(dump(&b), dump(&original));
+        assert!(!ScheduleBoard::new().pop_resource());
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod priority;
 mod timeline;
 
 pub use association::{AssociationArray, AssociationEntry};
-pub use board::{ResourceId, ScheduleBoard};
+pub use board::{ResourceId, ScheduleBoard, Taken};
 pub use finish::{
     check_deadlines, estimate_finish_times, latest_finish_times, DeadlineMiss, Window,
 };

@@ -123,47 +123,6 @@ impl Timeline {
         None
     }
 
-    /// Definitively decides that *no* admissible start exists: `true`
-    /// means every start in `[ready, limit]` collides with some occupant,
-    /// or some occupant's period pattern is fundamentally incompatible
-    /// with the probe. Unlike [`find_slot`](Self::find_slot) — whose
-    /// `None` may also mean the bounded search gave up — a `true` here is
-    /// a proof, which makes it usable as a pruning certificate: a
-    /// placement attempt over any *superset* of these occupancies must
-    /// fail. Returns `false` when a slot exists or the search is
-    /// inconclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is zero or exceeds `period` (as
-    /// [`find_slot`](Self::find_slot) does).
-    pub fn blocked(&self, ready: Nanos, duration: Nanos, period: Nanos, limit: Nanos) -> bool {
-        let mut t = ready;
-        if t > limit {
-            return true;
-        }
-        let max_passes = 4 * self.placed.len() + 8;
-        for _ in 0..max_passes {
-            let probe = PeriodicInterval::new(t, duration, period);
-            match self.placed.iter().find(|p| probe.collides(&p.interval)) {
-                // A collision-free start within the limit exists.
-                None => return false,
-                Some(blocker) => match probe.earliest_clear(&blocker.interval, t) {
-                    // No future time ever clears this occupant.
-                    None => return true,
-                    Some(next) => {
-                        t = next;
-                        // Every skipped instant collided with an occupant.
-                        if t > limit {
-                            return true;
-                        }
-                    }
-                },
-            }
-        }
-        false
-    }
-
     /// Records an occupancy *without* collision checking.
     ///
     /// Hardware PEs (ASICs, FPGAs) execute their resident tasks spatially
@@ -175,13 +134,23 @@ impl Timeline {
         self.placed.push(Placed { occupant, interval });
     }
 
-    /// Removes every occupancy owned by `occupant`, returning how many
-    /// were removed. Used when a tentative allocation is rolled back or a
-    /// victim is preempted and re-placed.
-    pub fn remove(&mut self, occupant: Occupant) -> usize {
-        let before = self.placed.len();
-        self.placed.retain(|p| p.occupant != occupant);
-        before - self.placed.len()
+    /// Removes `occupant`'s occupancy and returns it with its position,
+    /// keeping the order of the rest; [`restore`](Self::restore) puts it
+    /// back exactly. The search runs from the newest placement, so lifting
+    /// the latest one costs O(1).
+    pub fn take(&mut self, occupant: Occupant) -> Option<(usize, Placed)> {
+        let position = self.placed.iter().rposition(|p| p.occupant == occupant)?;
+        Some((position, self.placed.remove(position)))
+    }
+
+    /// Reinserts an occupancy lifted by [`take`](Self::take) at its old
+    /// position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is past the end of the timeline.
+    pub fn restore(&mut self, position: usize, placed: Placed) {
+        self.placed.insert(position, placed);
     }
 
     /// The fraction of one hyperperiod this timeline is busy, given the
@@ -267,12 +236,28 @@ mod tests {
         tl.place(occ(0), ns(0), ns(60), ns(100), Nanos::MAX)
             .unwrap();
         assert_eq!(tl.place(occ(1), ns(0), ns(60), ns(100), Nanos::MAX), None);
-        assert_eq!(tl.remove(occ(0)), 1);
+        assert!(tl.take(occ(0)).is_some());
         assert_eq!(
             tl.place(occ(1), ns(0), ns(60), ns(100), Nanos::MAX),
             Some(ns(0))
         );
-        assert_eq!(tl.remove(occ(9)), 0);
+        assert_eq!(tl.take(occ(9)), None);
+    }
+
+    #[test]
+    fn take_then_restore_keeps_order() {
+        let mut original = Timeline::new();
+        for i in 0..3 {
+            original.record(occ(i), PeriodicInterval::new(ns(0), ns(10), ns(100)));
+        }
+        for i in 0..3 {
+            let mut tl = original.clone();
+            let (position, placed) = tl.take(occ(i)).unwrap();
+            assert_eq!(position, i);
+            assert_eq!(tl.len(), 2);
+            tl.restore(position, placed);
+            assert_eq!(tl, original, "after taking occ({i})");
+        }
     }
 
     #[test]
@@ -296,60 +281,6 @@ mod tests {
         let b = tl.find_slot(ns(0), ns(5), ns(100), Nanos::MAX);
         assert_eq!(a, b);
         assert_eq!(tl.len(), 1);
-    }
-
-    #[test]
-    fn blocked_is_definitive_when_window_too_small() {
-        let mut tl = Timeline::new();
-        // [0, 50) busy every 100.
-        tl.place(occ(0), ns(0), ns(50), ns(100), Nanos::MAX)
-            .unwrap();
-        // A 20 must wait until 50, past the limit of 30: provably blocked.
-        assert!(tl.blocked(ns(0), ns(20), ns(100), ns(30)));
-        // With a limit of 60 the slot at 50 exists.
-        assert!(!tl.blocked(ns(0), ns(20), ns(100), ns(60)));
-    }
-
-    #[test]
-    fn blocked_detects_period_incompatible_occupant() {
-        let mut tl = Timeline::new();
-        // Periods 20 and 30 have gcd 10; durations 6 + 6 > 10 means no
-        // relative offset ever clears — incompatible at any start.
-        tl.place(occ(0), ns(0), ns(6), ns(20), Nanos::MAX).unwrap();
-        assert!(tl.blocked(ns(0), ns(6), ns(30), Nanos::MAX));
-    }
-
-    #[test]
-    fn blocked_is_conservative_when_inconclusive() {
-        let mut tl = Timeline::new();
-        // A fully saturated period: 30+30+30+10 per 100. A 20 can never
-        // fit, but no single occupant proves it — the bounded chase gives
-        // up, and blocked() must answer `false`, never a wrong proof.
-        for (i, d) in [30u64, 30, 30, 10].into_iter().enumerate() {
-            tl.place(occ(i), ns(0), ns(d), ns(100), Nanos::MAX).unwrap();
-        }
-        assert!(!tl.blocked(ns(0), ns(20), ns(100), Nanos::MAX));
-        // With a limit the chase can reach, it terminates with a proof:
-        // every start in [0, 50] collides (the gap at 90 is only 10 wide).
-        assert!(tl.blocked(ns(0), ns(20), ns(100), ns(50)));
-    }
-
-    #[test]
-    fn blocked_when_ready_past_limit() {
-        let tl = Timeline::new();
-        assert!(tl.blocked(ns(31), ns(5), ns(100), ns(30)));
-        // Empty timeline, ready inside the limit: a slot trivially exists.
-        assert!(!tl.blocked(ns(30), ns(5), ns(100), ns(30)));
-    }
-
-    #[test]
-    fn blocked_agrees_with_find_slot_on_success() {
-        let mut tl = Timeline::new();
-        tl.place(occ(0), ns(10), ns(10), ns(50), Nanos::MAX)
-            .unwrap();
-        // find_slot succeeds ⇒ blocked must be false.
-        assert!(tl.find_slot(ns(0), ns(10), ns(50), Nanos::MAX).is_some());
-        assert!(!tl.blocked(ns(0), ns(10), ns(50), Nanos::MAX));
     }
 
     #[test]

@@ -109,8 +109,6 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo test --release -q -p crusade-verify --test audit_examples -- --ignored
     echo "==> fault-injection campaign (104 scenarios)"
     cargo run --release -q -p crusade-bench --bin campaign
-    echo "==> allocation-pruning benchmark (8 examples, on/off parity)"
-    cargo run --release -q -p crusade-bench --bin pruning
     echo "==> exploration determinism (8 examples, jobs 1/2/8 bit-identical)"
     cargo test --release -q -p crusade-explore --test determinism -- --ignored
     echo "==> trace acceptance sweep (8 examples, metrics vs audit, jobs-invariant)"
@@ -124,6 +122,8 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "==> schedulability sweep grid (5 utilizations x 3 tightness x 10 seeds)"
     cargo run --release -q -p crusade-bench --bin sweep
     cargo test --release -q -p crusade --test bench_artifacts sweep
+    echo "==> perf-ledger tests (seeds, catalog, exact replayed allocation counts)"
+    cargo test --release -q --manifest-path perfbench/Cargo.toml
     echo "==> line-coverage ratchet (crates/core + crates/sched)"
     scripts/coverage.sh
 fi

@@ -1,8 +1,7 @@
 //! Properties tying the linter to synthesis: Error lints are necessary-
 //! condition violations (synthesis of an Error-linted spec must fail, and
-//! the `lint` pre-pass rejects it up front), lint-clean specs that
-//! synthesize also audit clean, and the allocation pruning oracle never
-//! changes the synthesized architecture.
+//! the `lint` pre-pass rejects it up front), and lint-clean specs that
+//! synthesize also audit clean.
 
 // Test code: helpers unwrap and cast freely on controlled inputs.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
@@ -41,31 +40,6 @@ proptest! {
                 violations.is_empty(),
                 "lint-clean spec synthesized into a bad architecture: {violations:?}"
             );
-        }
-    }
-
-    /// The pruning oracle only skips provably dead candidates: with and
-    /// without it, synthesis reaches the identical architecture (and the
-    /// pruned run never explores more).
-    #[test]
-    fn pruning_preserves_the_architecture(seed in 0u64..1_000_000) {
-        let lib = paper_library();
-        let spec = random_example(seed).build(&lib);
-        let run = |pruning: bool| {
-            CoSynthesis::new(&spec, &lib.lib)
-                .with_options(CosynOptions { pruning, ..CosynOptions::default() })
-                .run()
-                .ok()
-                .map(|r| r.report)
-        };
-        match (run(false), run(true)) {
-            (Some(off), Some(on)) => {
-                prop_assert_eq!(off.pe_count, on.pe_count);
-                prop_assert_eq!(off.link_count, on.link_count);
-                prop_assert_eq!(off.cost, on.cost);
-                prop_assert!(on.candidates_tried <= off.candidates_tried);
-            }
-            (off, on) => prop_assert_eq!(off.is_some(), on.is_some()),
         }
     }
 }
