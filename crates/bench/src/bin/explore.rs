@@ -5,21 +5,19 @@
 //!
 //! 1. **sequential CRUSADE** — a single baseline-policy synthesis;
 //! 2. **naive portfolio** — every portfolio member synthesized and
-//!    audited one at a time with no shared state (what multi-start
-//!    looks like without this subsystem);
-//! 3. **sequential portfolio** — the exploration engine at `--jobs 1`
-//!    (shared incumbent and evaluation cache, single thread);
+//!    audited one at a time in a plain loop: the reference the engine's
+//!    winner is checked against;
+//! 3. **sequential portfolio** — the exploration engine at `--jobs 1`;
 //! 4. **parallel portfolio** — the engine at `--jobs N`.
 //!
 //! It asserts that the parallel winner matches both sequential winners
 //! exactly (cost and policy id — the engine's determinism guarantee)
 //! and that the portfolio never costs more than sequential CRUSADE,
 //! then writes `BENCH_explore.json` with best cost versus sequential,
-//! wall-clock times, speedup over the naive portfolio, cache hit-rate
-//! and pruned-run counts. The host's core count is recorded with every
-//! row: on a single-core machine the parallel speedup degenerates to
-//! whatever the shared incumbent and cache save, so interpret `speedup`
-//! together with `cores`.
+//! wall-clock times and speedup over the naive portfolio. The host's
+//! core count is recorded with every row: on a single-core machine the
+//! parallel speedup is about 1, so interpret `speedup` together with
+//! `cores`.
 //!
 //! ```text
 //! cargo run --release -p crusade-bench --bin explore -- [--jobs N] [--portfolio M] [--examples A,B]
@@ -57,15 +55,8 @@ struct ExploreRecord {
     speedup: f64,
     /// Cores available to this run — the parallelism actually on offer.
     cores: usize,
-    /// Shared-evaluation-cache hit rate of the parallel run.
-    cache_hit_rate: f64,
-    /// Portfolio members aborted by the cost incumbent (parallel run).
-    dominated_runs: usize,
-    /// Portfolio members skipped outright by the lint lower bound
-    /// (parallel run).
-    skipped_by_bound: usize,
     /// Structured-metrics snapshot aggregated over every member of the
-    /// parallel run (schedule-dependent, like the cache statistics).
+    /// parallel run.
     metrics: crusade_obs::MetricsSnapshot,
 }
 
@@ -78,10 +69,10 @@ fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
         .max(1)
 }
 
-/// Runs every portfolio member to completion, one at a time, with no
-/// shared incumbent or cache — scripted multi-start, the baseline this
-/// subsystem replaces. Returns the audit-clean winner's (cost, policy
-/// id) and the wall-clock in milliseconds.
+/// Runs every portfolio member to completion, one at a time —
+/// scripted multi-start, the reference the engine must agree with.
+/// Returns the audit-clean winner's (cost, policy id) and the
+/// wall-clock in milliseconds.
 fn naive_portfolio(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
@@ -144,7 +135,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!("multi-start exploration: portfolio {portfolio}, {jobs} job(s), {cores} core(s)\n");
     println!(
-        "{:<8} {:>6} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>9} {:>8} | {:>6} {:>5} {:>5}",
+        "{:<8} {:>6} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>9} {:>8}",
         "example",
         "tasks",
         "seq cost",
@@ -154,9 +145,6 @@ fn main() {
         "eng1(ms)",
         "par(ms)",
         "speedup",
-        "cache%",
-        "dom",
-        "skip"
     );
 
     let lib = paper_library();
@@ -206,8 +194,8 @@ fn main() {
             failed = true;
             continue;
         }
-        // Incumbent aborts and cache skips must never change the winner
-        // the naive member-at-a-time portfolio would have picked.
+        // The engine must pick the winner the naive member-at-a-time
+        // portfolio picks.
         if naive_best != Some((par.winner.report.cost.amount(), par.policy.id)) {
             println!(
                 "{:<8} WINNER DRIFT: naive portfolio picked {naive_best:?}, engine picked ({}, {})",
@@ -246,13 +234,10 @@ fn main() {
             parallel_wall_ms: par_ms,
             speedup,
             cores,
-            cache_hit_rate: par.stats.cache_hit_rate(),
-            dominated_runs: par.stats.dominated,
-            skipped_by_bound: par.stats.skipped_by_bound,
             metrics: metrics.snapshot(),
         };
         println!(
-            "{:<8} {:>6} | {:>8}$ {:>8}$ {:>7} | {:>9.0} {:>9.0} {:>9.0} {:>7.2}x | {:>5.1}% {:>5} {:>5}",
+            "{:<8} {:>6} | {:>8}$ {:>8}$ {:>7} | {:>9.0} {:>9.0} {:>9.0} {:>7.2}x",
             record.example,
             record.tasks,
             record.sequential_cost,
@@ -262,9 +247,6 @@ fn main() {
             record.sequential_portfolio_wall_ms,
             record.parallel_wall_ms,
             record.speedup,
-            record.cache_hit_rate * 100.0,
-            record.dominated_runs,
-            record.skipped_by_bound,
         );
         records.push(record);
     }

@@ -17,6 +17,8 @@
 //! and re-placed — the paper's "preemptive scheduling in restricted
 //! scenarios".
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use crusade_model::{
     Dollars, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, PeClass, PeTypeId, Priority,
     ResourceLibrary, SystemSpec, TaskId,
@@ -32,8 +34,6 @@ use crate::cluster::{Cluster, ClusterId, Clustering};
 use crate::error::SynthesisError;
 use crate::journal::Journal;
 use crate::options::{derate, CosynOptions};
-use crate::policy::splitmix64;
-use crate::portfolio::{cache_key, PortfolioHooks};
 
 /// One candidate in the allocation array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,15 +97,9 @@ pub struct Allocator<'a> {
     journal: Journal,
     /// Allocation candidates evaluated (a scheduling attempt ran).
     candidates_tried: usize,
-    /// Portfolio sharing (cancellation flag + negative evaluation cache),
-    /// installed by [`crate::CoSynthesis::with_portfolio_hooks`].
-    hooks: Option<PortfolioHooks<'a>>,
-    /// Hash chain over the committed `(cluster, target)` decisions of this
-    /// run, seeded with a fingerprint of everything else the scheduling
-    /// attempt depends on. Two runs with equal chains have byte-identical
-    /// boards, which is what makes sharing failure verdicts through the
-    /// [`crate::EvalCache`] sound.
-    history_hash: u64,
+    /// Cooperative cancellation flag, installed by
+    /// [`crate::CoSynthesis::with_cancel`].
+    cancel: Option<&'a AtomicBool>,
 }
 
 impl<'a> Allocator<'a> {
@@ -144,23 +138,6 @@ impl<'a> Allocator<'a> {
             ));
         }
         let decisions = vec![None; clustering.cluster_count()];
-        // Fingerprint of everything a scheduling attempt's outcome depends
-        // on besides the decision history: the option knobs that reach
-        // `try_target` (and the clustering shape, which the size cap
-        // drives). Portfolio members with different knobs therefore never
-        // share cache entries.
-        let mut fp = splitmix64(options.eruf.to_bits() ^ options.epuf.to_bits().rotate_left(32));
-        fp = splitmix64(
-            fp ^ u64::from(options.preemption)
-                ^ (u64::from(options.reconfiguration) << 1)
-                ^ (u64::from(options.image_sharing) << 2),
-        );
-        fp = splitmix64(
-            fp ^ (options.cluster_size_cap as u64) ^ ((options.max_modes_per_device as u64) << 24),
-        );
-        fp = splitmix64(
-            fp ^ (clustering.cluster_count() as u64) ^ ((spec.graph_count() as u64) << 32),
-        );
         // The board shares the options' observer handle: every placement
         // attempt — including ones later rolled back — reports the slot
         // it chose.
@@ -179,16 +156,14 @@ impl<'a> Allocator<'a> {
             allow_new_modes: false,
             journal: Journal::default(),
             candidates_tried: 0,
-            hooks: None,
-            history_hash: fp,
+            cancel: None,
         }
     }
 
-    /// Installs portfolio sharing: the cancellation flag is checked before
-    /// every scheduling attempt, and failed attempts are shared through
-    /// the negative evaluation cache.
-    pub fn set_portfolio_hooks(&mut self, hooks: PortfolioHooks<'a>) {
-        self.hooks = Some(hooks);
+    /// Installs a cooperative cancellation flag, checked before every
+    /// scheduling attempt.
+    pub fn set_cancel(&mut self, cancel: &'a AtomicBool) {
+        self.cancel = Some(cancel);
     }
 
     /// Allocation candidates that were evaluated with a scheduling
@@ -372,25 +347,13 @@ impl<'a> Allocator<'a> {
     ///
     /// # Errors
     ///
-    /// [`SynthesisError::Unallocatable`] when every candidate fails.
+    /// [`SynthesisError::Unallocatable`] when every candidate fails, and
+    /// [`SynthesisError::Cancelled`] once the cancellation flag is raised.
     pub fn allocate(&mut self, cid: ClusterId) -> Result<AllocationDecision, SynthesisError> {
         let cluster = self.clustering.cluster(cid);
         for (target, added_cost) in self.allocation_array(cid, cluster) {
-            if self.hooks.is_some_and(|h| h.cancelled()) {
+            if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 return Err(SynthesisError::Cancelled);
-            }
-            // Extend the decision hash-chain to this candidate: the key a
-            // shared negative cache stores a failure verdict under. Two
-            // runs reach the same key only with identical commit history
-            // (hence identical boards), so a hit skips a scheduling
-            // attempt that provably fails again.
-            let decision_hash = self.decision_hash(cid, target);
-            let cache = self.hooks.and_then(|h| h.cache);
-            if cache.is_some_and(|c| c.known_failure(cache_key(decision_hash))) {
-                self.options.observer.emit(|| Event::CacheHit {
-                    cluster: cid.index() as u64,
-                });
-                continue;
             }
             self.candidates_tried += 1;
             self.options.observer.emit(|| Event::CandidateConsidered {
@@ -399,7 +362,6 @@ impl<'a> Allocator<'a> {
             });
             match self.try_target(cid, cluster, target) {
                 Ok((pe, mode)) => {
-                    self.history_hash = decision_hash;
                     let decision = AllocationDecision {
                         pe,
                         mode,
@@ -420,9 +382,6 @@ impl<'a> Allocator<'a> {
                         reason,
                     });
                 }
-            }
-            if let Some(cache) = cache {
-                cache.record_failure(cache_key(decision_hash));
             }
         }
         let graph = self.spec.graph(cluster.graph);
@@ -452,21 +411,6 @@ impl<'a> Allocator<'a> {
             }
             AllocTarget::New { ty } => format!("new {}", self.lib.pe(ty).name()),
         }
-    }
-
-    /// The decision hash-chain extended by trying `target` for `cid`: a
-    /// collision-resistant mix of the current history with a tagged
-    /// encoding of the candidate.
-    fn decision_hash(&self, cid: ClusterId, target: AllocTarget) -> u64 {
-        let code = match target {
-            AllocTarget::Existing { pe, mode } => {
-                0b01 | ((pe.index() as u64) << 2) | ((mode as u64) << 34)
-            }
-            AllocTarget::NewMode { pe } => 0b10 | ((pe.index() as u64) << 2),
-            AllocTarget::New { ty } => 0b11 | ((ty.index() as u64) << 2),
-        };
-        let h = splitmix64(self.history_hash ^ splitmix64(cid.index() as u64));
-        splitmix64(h ^ splitmix64(code))
     }
 
     /// Attempts to place `cluster` on `target`, scheduling it straight

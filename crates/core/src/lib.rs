@@ -40,7 +40,6 @@ mod error;
 mod journal;
 mod options;
 mod policy;
-mod portfolio;
 mod reconfig;
 mod repair;
 mod report;
@@ -57,7 +56,6 @@ pub use cluster::{cluster_tasks, cluster_tasks_with, Cluster, ClusterId, Cluster
 pub use error::SynthesisError;
 pub use options::CosynOptions;
 pub use policy::{splitmix64, SynthesisPolicy};
-pub use portfolio::{cache_key, CostIncumbent, EvalCache, PortfolioHooks};
 pub use reconfig::ReconfigReport;
 pub use repair::{repair, Damage, RepairError, RepairOptions, RepairOutcome};
 pub use report::{

@@ -6,6 +6,7 @@
 //! generation` (device merging and mode combination) → reconfiguration-
 //! controller interface synthesis → final deadline verification.
 
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -20,7 +21,6 @@ use crate::arch::Architecture;
 use crate::cluster::{cluster_tasks_with, Clustering};
 use crate::error::SynthesisError;
 use crate::options::CosynOptions;
-use crate::portfolio::PortfolioHooks;
 use crate::reconfig::{self, ReconfigReport};
 
 /// Summary figures of a finished synthesis — the columns of Tables 2
@@ -97,7 +97,7 @@ pub struct CoSynthesis<'a> {
     spec: &'a SystemSpec,
     lib: &'a ResourceLibrary,
     options: CosynOptions,
-    hooks: Option<PortfolioHooks<'a>>,
+    cancel: Option<&'a AtomicBool>,
 }
 
 impl<'a> CoSynthesis<'a> {
@@ -108,7 +108,7 @@ impl<'a> CoSynthesis<'a> {
             spec,
             lib,
             options: CosynOptions::default(),
-            hooks: None,
+            cancel: None,
         }
     }
 
@@ -118,16 +118,11 @@ impl<'a> CoSynthesis<'a> {
         self
     }
 
-    /// Connects this run to a multi-start portfolio: the shared incumbent
-    /// lets the run abort once provably dominated, the evaluation cache
-    /// shares failed allocation attempts across members, and the cancel
-    /// flag stops the run cooperatively. The run *reads* the incumbent
-    /// but never updates it — only the exploration engine does, and only
-    /// with audit-clean completed architectures, which (together with the
-    /// strictly-greater domination test) keeps the portfolio winner
-    /// independent of thread scheduling.
-    pub fn with_portfolio_hooks(mut self, hooks: PortfolioHooks<'a>) -> Self {
-        self.hooks = Some(hooks);
+    /// Installs a cooperative cancellation flag: once it is raised, the
+    /// run stops at its next allocation step with
+    /// [`SynthesisError::Cancelled`].
+    pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
+        self.cancel = Some(cancel);
         self
     }
 
@@ -141,7 +136,9 @@ impl<'a> CoSynthesis<'a> {
     ///   deadlines on any PE the library offers;
     /// * [`SynthesisError::NoFeasibleInterface`] — multi-mode devices
     ///   exist but no programming interface meets the boot-time
-    ///   requirement.
+    ///   requirement;
+    /// * [`SynthesisError::Cancelled`] — the [`with_cancel`](Self::with_cancel)
+    ///   flag was raised during allocation.
     pub fn run(&self) -> Result<SynthesisResult, SynthesisError> {
         let t0 = Instant::now();
         self.spec.validate()?;
@@ -179,32 +176,12 @@ impl<'a> CoSynthesis<'a> {
         // the baseline policy, boundedly perturbed otherwise.
         let alloc_span = options.observer.span("allocation");
         let mut allocator = Allocator::new(self.spec, self.lib, &options, &clustering);
-        if let Some(hooks) = self.hooks {
-            allocator.set_portfolio_hooks(hooks);
+        if let Some(cancel) = self.cancel {
+            allocator.set_cancel(cancel);
         }
         let mut cluster_ids: Vec<_> = clustering.clusters().map(|(id, _)| id).collect();
         options.policy.perturb_order(&mut cluster_ids);
         for cid in cluster_ids {
-            if let Some(hooks) = self.hooks {
-                if hooks.cancelled() {
-                    return Err(SynthesisError::Cancelled);
-                }
-                // Domination test against the portfolio incumbent. The
-                // comparison is STRICT and the bound is a true lower bound
-                // on this run's final cost, so a run that would finish at
-                // the portfolio minimum can never trip it — completed
-                // minimal runs are schedule-independent, and with them the
-                // reduced winner. Keep it strict.
-                let incumbent = hooks.incumbent.get();
-                if incumbent != u64::MAX {
-                    let floor = final_cost_lower_bound(self.lib, &options, &clustering, &allocator);
-                    if floor.amount() > incumbent {
-                        return Err(SynthesisError::Dominated {
-                            incumbent: Dollars::new(incumbent),
-                        });
-                    }
-                }
-            }
             allocator.allocate(cid)?;
         }
         let candidates_tried = allocator.candidates_tried();
@@ -292,67 +269,6 @@ impl<'a> CoSynthesis<'a> {
         }
         true
     }
-}
-
-/// A sound lower bound on the *final* dollar cost any completion of the
-/// current partial allocation can reach, used for incumbent-based
-/// domination in portfolio runs.
-///
-/// Conservative about everything dynamic reconfiguration can later remove:
-/// link and interface costs are ignored entirely (merging may retire
-/// links), and programmable devices are counted as if merging later packed
-/// them maximally — `ceil(instances / max_modes_per_device)` per type,
-/// sound because merging only ever combines devices of the *same* type and
-/// caps the merged mode count. Unallocated clusters none of whose allowed
-/// types is instantiated yet are grouped greedily by disjoint allowed-type
-/// sets; the groups force pairwise-distinct future purchases (disjoint
-/// sets means different types, which can never merge with each other), so
-/// each adds at least its cheapest allowed type's cost.
-fn final_cost_lower_bound(
-    lib: &ResourceLibrary,
-    options: &CosynOptions,
-    clustering: &Clustering,
-    allocator: &Allocator<'_>,
-) -> Dollars {
-    let mut counts: Vec<(crusade_model::PeTypeId, usize)> = Vec::new();
-    for (_, pe) in allocator.arch.pes() {
-        match counts.iter_mut().find(|(t, _)| *t == pe.ty) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((pe.ty, 1)),
-        }
-    }
-    let mut lb = Dollars::ZERO;
-    for &(ty, n) in &counts {
-        let devices = if lib.pe(ty).is_reconfigurable() {
-            n.div_ceil(options.max_modes_per_device.max(1))
-        } else {
-            n
-        };
-        lb += Dollars::new(lib.pe(ty).cost().amount() * devices as u64);
-    }
-    let mut group_types: Vec<crusade_model::PeTypeId> = Vec::new();
-    for (cid, cluster) in clustering.clusters() {
-        if allocator.decisions[cid.index()].is_some() || cluster.allowed_pes.is_empty() {
-            continue;
-        }
-        if cluster
-            .allowed_pes
-            .iter()
-            .any(|t| counts.iter().any(|(c, _)| c == t))
-        {
-            // Might join (or merge with) an already-purchased instance.
-            continue;
-        }
-        if cluster.allowed_pes.iter().any(|t| group_types.contains(t)) {
-            // Might share the purchase an earlier group already forces.
-            continue;
-        }
-        if let Some(min_cost) = cluster.allowed_pes.iter().map(|&t| lib.pe(t).cost()).min() {
-            lb += min_cost;
-        }
-        group_types.extend(cluster.allowed_pes.iter().copied());
-    }
-    lb
 }
 
 /// Builds the interface requirement from the final modes and runs the

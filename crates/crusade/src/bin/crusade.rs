@@ -424,8 +424,7 @@ fn flag_usize(args: &[String], name: &str) -> Result<Option<usize>, String> {
 /// synthesis policies and prints the cheapest audit-clean winner.
 ///
 /// The winner line on stdout is deterministic — bit-identical regardless
-/// of `--jobs`. Schedule-dependent statistics (cache hit-rate,
-/// domination counts) go to stderr.
+/// of `--jobs`. Member statistics go to stderr.
 fn cmd_explore(args: &[String]) -> Result<u8, String> {
     let arg = args
         .first()
@@ -454,23 +453,12 @@ fn cmd_explore(args: &[String]) -> Result<u8, String> {
     );
     let stats = &outcome.stats;
     eprintln!(
-        "explore: portfolio {} at {} job(s) — {} clean, {} dominated, {} skipped by bound, \
-         {} audit-rejected, {} failed; cache {:.0}% hit ({} / {} lookups); lower bound {}",
-        stats.portfolio,
-        stats.jobs,
-        stats.clean,
-        stats.dominated,
-        stats.skipped_by_bound,
-        stats.audit_rejected,
-        stats.failed,
-        stats.cache_hit_rate() * 100.0,
-        stats.cache_hits,
-        stats.cache_lookups,
-        stats.cost_lower_bound,
+        "explore: portfolio {} at {} job(s) — {} clean, {} audit-rejected, {} failed",
+        stats.portfolio, stats.jobs, stats.clean, stats.audit_rejected, stats.failed,
     );
     if let Some(metrics) = metrics {
-        // Aggregated over every portfolio member: schedule-dependent, so
-        // it goes to stdout only on explicit request.
+        // Aggregated over every portfolio member, including phase wall
+        // times, so it goes to stdout only on explicit request.
         println!(
             "{}",
             serde_json::to_string_pretty(&metrics.snapshot()).map_err(|e| e.to_string())?

@@ -8,34 +8,19 @@
 //! tie-break seeds, reconfiguration-aggressiveness knobs) concurrently and
 //! reduces to the cheapest deadline-feasible architecture.
 //!
-//! Three mechanisms keep the search fast without ever changing the
-//! answer:
-//!
-//! * a shared [`EvalCache`] of failed allocation attempts, keyed by the
-//!   decision-prefix hash, so members retreading a shared prefix skip
-//!   scheduling attempts that provably fail again;
-//! * a shared [`CostIncumbent`] updated **only** with audit-clean
-//!   completed costs; members abort as dominated once a sound lower bound
-//!   on their final cost *strictly* exceeds it;
-//! * the `crusade-lint` bin-packing [`cost_lower_bound`]: once the
-//!   incumbent equals the spec-wide floor, members that could at best tie
-//!   with a lower-id winner are skipped outright.
+//! Each member is an independent [`CoSynthesis::run`] plus audit; members
+//! share nothing but the cancellation flag.
 //!
 //! # Determinism
 //!
-//! The reduced winner — architecture, cost, and winning policy — is
-//! bit-identical regardless of worker count or thread schedule. The
-//! argument: every policy is itself deterministic; the incumbent only
-//! ever *decreases* and only to audit-clean achieved costs, so for a run
-//! whose final cost is the portfolio minimum every domination test
-//! compares a lower bound on that minimum against an incumbent at least
-//! as large — with a strict comparison it never aborts. The same holds
-//! for ties, and the lint-floor skip only ever drops members that would
-//! lose the `(cost, policy-id)` tie-break to an already-completed
-//! winner. Hence exactly the potential winners always complete, and the
-//! reduction `min by (cost, policy-id)` is schedule-independent. Member
-//! *statistics* (which runs were dominated or skipped, cache hit counts)
-//! are schedule-dependent and deliberately excluded from that guarantee.
+//! Every policy is deterministic and members share no state, so every
+//! member runs to completion with the same result at any worker count,
+//! and the reduction `min by (cost, policy-id)` over them is
+//! schedule-independent. The winner — architecture, cost and policy —
+//! the member reports and the allocation counters aggregated over all
+//! members are therefore bit-identical for any `jobs` value. A cancelled
+//! exploration is an error ([`ExploreError::Cancelled`]), never a
+//! partial winner.
 //!
 //! # Examples
 //!
@@ -56,17 +41,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
 use serde::Serialize;
 
-use crusade_core::{
-    CoSynthesis, CostIncumbent, CosynOptions, EvalCache, PortfolioHooks, SynthesisError,
-    SynthesisPolicy, SynthesisResult,
-};
-use crusade_lint::cost_lower_bound;
+use crusade_core::{CoSynthesis, CosynOptions, SynthesisError, SynthesisPolicy, SynthesisResult};
 use crusade_model::{Dollars, ResourceLibrary, SystemSpec};
 use crusade_obs::{Event, Fanout, Metrics, MetricsSnapshot, TraceSink};
 
@@ -90,23 +71,20 @@ pub struct ExploreConfig {
     /// Base synthesis options every member starts from (its policy field
     /// is replaced per member).
     pub base: CosynOptions,
-    /// Whether members share the negative evaluation cache.
-    pub share_cache: bool,
     /// External cooperative-cancellation token. When set, raising the
-    /// flag aborts every member at its next allocation step (status
-    /// [`MemberStatus::Cancelled`]); when `None` the exploration owns a
-    /// private, never-raised flag.
+    /// flag stops every member at its next allocation step and the
+    /// exploration returns [`ExploreError::Cancelled`]; when `None` the
+    /// exploration owns a private, never-raised flag.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl ExploreConfig {
-    /// A configuration with default synthesis options and the cache on.
+    /// A configuration with default synthesis options.
     pub fn new(portfolio: usize, jobs: usize) -> Self {
         ExploreConfig {
             portfolio,
             jobs,
             base: CosynOptions::default(),
-            share_cache: true,
             cancel: None,
         }
     }
@@ -129,18 +107,8 @@ impl ExploreConfig {
 pub enum MemberStatus {
     /// Completed and passed the independent audit (eligible to win).
     Clean,
-    /// Completed but the auditor found violations (never wins, never
-    /// updates the incumbent).
+    /// Completed but the auditor found violations (never wins).
     AuditRejected,
-    /// Aborted early: a sound lower bound on its final cost strictly
-    /// exceeded the incumbent.
-    Dominated,
-    /// Never started: the incumbent already equals the lint cost floor
-    /// and a lower-id member holds it, so this member could only lose
-    /// the tie-break.
-    SkippedByBound,
-    /// Stopped by the cooperative cancellation flag.
-    Cancelled,
     /// Synthesis failed (infeasible under this policy's knobs, or an
     /// internal error).
     Failed,
@@ -159,9 +127,9 @@ pub struct MemberReport {
     pub detail: Option<String>,
 }
 
-/// Aggregate statistics of an exploration. Everything here except
-/// `portfolio`, `jobs`, and `cost_lower_bound` depends on thread timing
-/// and is *not* covered by the determinism guarantee.
+/// Aggregate statistics of an exploration. Every member runs to
+/// completion, so none of these depends on thread timing: all are the
+/// same for any `jobs` value except `jobs` itself.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExploreStats {
     /// Portfolio size.
@@ -171,41 +139,26 @@ pub struct ExploreStats {
     pub jobs: usize,
     /// Members that completed audit-clean.
     pub clean: usize,
-    /// Members aborted by incumbent domination (the pruned-run count).
+    /// Always 0: members are never aborted early. Kept for existing
+    /// readers of the record.
     pub dominated: usize,
-    /// Members skipped outright by the lint cost floor.
+    /// Always 0: members are never skipped. Kept for existing readers of
+    /// the record.
     pub skipped_by_bound: usize,
     /// Members rejected by the post-run audit.
     pub audit_rejected: usize,
     /// Members that failed to synthesize.
     pub failed: usize,
-    /// Shared-cache hits (lookups that skipped a scheduling attempt).
+    /// Always 0: members share no evaluation cache. Kept for existing
+    /// readers of the record.
     pub cache_hits: u64,
-    /// Shared-cache lookups.
+    /// Always 0: members share no evaluation cache. Kept for existing
+    /// readers of the record.
     pub cache_lookups: u64,
-    /// Distinct failure entries recorded in the shared cache.
-    pub cache_entries: usize,
-    /// The `crusade-lint` bin-packing floor on any feasible architecture
-    /// cost (zero when the analysis finds no binding floor).
-    pub cost_lower_bound: Dollars,
 }
 
-impl ExploreStats {
-    /// Fraction of cache lookups that were hits (0.0 when none).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / self.cache_lookups as f64
-            }
-        }
-    }
-}
-
-/// The result of an exploration: the deterministic winner plus
-/// schedule-dependent statistics.
+/// The result of an exploration: the deterministic winner, the member
+/// reports and aggregate statistics.
 #[derive(Debug)]
 pub struct ExploreOutcome {
     /// The cheapest audit-clean architecture (ties broken by lowest
@@ -228,6 +181,9 @@ pub enum ExploreError {
         /// `policy-id: status/detail` lines, in policy order.
         details: Vec<String>,
     },
+    /// The cancellation flag stopped at least one member before it
+    /// finished, so the reduction could not see every member.
+    Cancelled,
     /// The winner-policy replay of [`explore_traced`] failed — an
     /// internal inconsistency, since the same deterministic policy just
     /// completed audit-clean inside the portfolio.
@@ -258,6 +214,7 @@ impl std::fmt::Display for ExploreError {
             ExploreError::ReplayFailed { policy, detail } => {
                 write!(f, "winner-policy {policy} replay failed: {detail}")
             }
+            ExploreError::Cancelled => write!(f, "exploration cancelled"),
         }
     }
 }
@@ -306,7 +263,8 @@ pub fn default_portfolio(m: usize) -> Vec<SynthesisPolicy> {
 ///
 /// [`ExploreError::NoFeasibleMember`] when no member completes
 /// audit-clean — the specification is infeasible against the library (or
-/// every policy variant broke it).
+/// every policy variant broke it) — and [`ExploreError::Cancelled`] when
+/// the cancellation flag stopped any member.
 pub fn explore(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
@@ -317,21 +275,21 @@ pub fn explore(
 
 /// [`explore`] with an explicit policy portfolio. Policy ids should be
 /// distinct — they are the deterministic tie-break.
+///
+/// # Errors
+///
+/// As for [`explore`].
 pub fn explore_portfolio(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
     config: &ExploreConfig,
     policies: &[SynthesisPolicy],
 ) -> Result<ExploreOutcome, ExploreError> {
-    let incumbent = CostIncumbent::new();
-    let cache = EvalCache::new();
     let local_cancel = AtomicBool::new(false);
     let cancel: &AtomicBool = config.cancel.as_deref().unwrap_or(&local_cancel);
-    let floor = cost_lower_bound(spec, lib, &config.base.lint_options());
-    // Best (cost, policy-id) achieved by an audit-clean member so far;
-    // feeds the lint-floor skip rule only — the final reduction re-scans
-    // all completed members.
-    let best_clean: Mutex<Option<(u64, u32)>> = Mutex::new(None);
+    // Lowest audit-clean cost seen so far; only decides when to emit
+    // `IncumbentUpdate`, never what a member does.
+    let best_clean = AtomicU64::new(u64::MAX);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<MemberOutcome>>> =
         policies.iter().map(|_| Mutex::new(None)).collect();
@@ -344,17 +302,7 @@ pub fn explore_portfolio(
                 let Some(policy) = policies.get(i) else {
                     break;
                 };
-                let outcome = run_member(
-                    spec,
-                    lib,
-                    config,
-                    policy,
-                    floor,
-                    &incumbent,
-                    &cache,
-                    cancel,
-                    &best_clean,
-                );
+                let outcome = run_member(spec, lib, config, policy, cancel, &best_clean);
                 if let Ok(mut slot) = slots[i].lock() {
                     *slot = Some(outcome);
                 }
@@ -372,7 +320,7 @@ pub fn explore_portfolio(
             .unwrap_or(MemberOutcome::Failed("worker never reported".into()))
         })
         .collect();
-    reduce(policies, outcomes, config, &cache, floor)
+    reduce(policies, outcomes, config)
 }
 
 /// The result of [`explore_traced`]: the exploration outcome plus the
@@ -381,7 +329,8 @@ pub fn explore_portfolio(
 pub struct TracedExplore {
     /// The exploration outcome. Its winner is the replayed architecture —
     /// bit-identical to the portfolio's copy by the determinism
-    /// guarantee (debug builds assert the costs agree).
+    /// guarantee; a replay whose cost differs is returned as
+    /// [`ExploreError::ReplayFailed`].
     pub outcome: ExploreOutcome,
     /// JSONL trace of the winner replay, one record per line, ending in
     /// a newline. Byte-identical for any `jobs` value.
@@ -391,18 +340,17 @@ pub struct TracedExplore {
 }
 
 /// [`explore`] followed by a *winner replay*: the winning policy is
-/// re-run solo — no portfolio hooks, no sibling threads — with a trace
-/// and metrics observer attached. Every policy is deterministic, so the
-/// replay reproduces the winner exactly, and the returned trace is
-/// byte-identical for any `jobs` value: exploration scheduling noise
-/// (domination aborts, cache hits, member interleaving) never reaches
-/// the trace.
+/// re-run solo — no sibling threads — with a trace and metrics observer
+/// attached. Every policy is deterministic, so the replay reproduces the
+/// winner exactly, and the returned trace is byte-identical for any
+/// `jobs` value: the interleaving of member events never reaches the
+/// trace.
 ///
 /// # Errors
 ///
-/// [`ExploreError::NoFeasibleMember`] as for [`explore`], and
-/// [`ExploreError::ReplayFailed`] if the replay diverges (which would be
-/// a determinism bug, not a property of the input).
+/// The errors of [`explore`], and [`ExploreError::ReplayFailed`] if the
+/// replay diverges (which would be a determinism bug, not a property of
+/// the input).
 pub fn explore_traced(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
@@ -451,81 +399,40 @@ fn worker_count(config: &ExploreConfig, members: usize) -> usize {
 enum MemberOutcome {
     Clean(Box<SynthesisResult>),
     AuditRejected(Vec<String>),
-    Dominated,
-    SkippedByBound,
     Cancelled,
     Failed(String),
 }
 
-/// Runs one portfolio member end to end (lint-floor skip check, synthesis
-/// with shared hooks, independent audit, incumbent update).
-#[allow(clippy::too_many_arguments)]
+/// Runs one portfolio member end to end: synthesis, then the independent
+/// audit.
 fn run_member(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
     config: &ExploreConfig,
     policy: &SynthesisPolicy,
-    floor: Dollars,
-    incumbent: &CostIncumbent,
-    cache: &EvalCache,
     cancel: &AtomicBool,
-    best_clean: &Mutex<Option<(u64, u32)>>,
+    best_clean: &AtomicU64,
 ) -> MemberOutcome {
-    // Winner-preserving skip: once the incumbent sits on the lint floor
-    // no member can do strictly better, so a member that would also lose
-    // the (cost, id) tie-break to the floor-holder need not run at all.
-    if floor.amount() > 0 && incumbent.get() == floor.amount() {
-        let beaten = best_clean
-            .lock()
-            .map(|b| b.is_some_and(|(c, id)| c == floor.amount() && id < policy.id))
-            .unwrap_or(false);
-        if beaten {
-            config.base.observer.emit(|| Event::MemberSkipped {
-                policy: u64::from(policy.id),
-            });
-            return MemberOutcome::SkippedByBound;
-        }
-    }
     let options = config.base.clone().with_policy(policy.clone());
-    let hooks = PortfolioHooks {
-        incumbent,
-        cache: config.share_cache.then_some(cache),
-        cancel,
-    };
     match CoSynthesis::new(spec, lib)
         .with_options(options.clone())
-        .with_portfolio_hooks(hooks)
+        .with_cancel(cancel)
         .run()
     {
         Ok(result) => {
-            // Independent audit; only clean members may move the
-            // incumbent (anything else could abort a run that the
-            // deterministic reduction still needs).
             let violations = crusade_verify::audit(spec, lib, &options.effective(), &result);
             if violations.is_empty() {
                 let cost = result.report.cost.amount();
-                if cost < incumbent.get() {
+                if best_clean.fetch_min(cost, Ordering::Relaxed) > cost {
                     config.base.observer.emit(|| Event::IncumbentUpdate {
                         policy: u64::from(policy.id),
                         cost,
                     });
                 }
-                incumbent.observe(cost);
-                if let Ok(mut b) = best_clean.lock() {
-                    if b.map_or(true, |(c, id)| (cost, policy.id) < (c, id)) {
-                        *b = Some((cost, policy.id));
-                    }
-                }
                 MemberOutcome::Clean(Box::new(result))
             } else {
                 MemberOutcome::AuditRejected(violations.iter().map(|v| v.to_string()).collect())
             }
-        }
-        Err(SynthesisError::Dominated { .. }) => {
-            config.base.observer.emit(|| Event::DominationAbort {
-                policy: u64::from(policy.id),
-            });
-            MemberOutcome::Dominated
         }
         Err(SynthesisError::Cancelled) => MemberOutcome::Cancelled,
         Err(e) => MemberOutcome::Failed(e.to_string()),
@@ -538,8 +445,6 @@ fn reduce(
     policies: &[SynthesisPolicy],
     outcomes: Vec<MemberOutcome>,
     config: &ExploreConfig,
-    cache: &EvalCache,
-    floor: Dollars,
 ) -> Result<ExploreOutcome, ExploreError> {
     let mut stats = ExploreStats {
         portfolio: policies.len(),
@@ -549,10 +454,8 @@ fn reduce(
         skipped_by_bound: 0,
         audit_rejected: 0,
         failed: 0,
-        cache_hits: cache.stats().0,
-        cache_lookups: cache.stats().1,
-        cache_entries: cache.len(),
-        cost_lower_bound: floor,
+        cache_hits: 0,
+        cache_lookups: 0,
     };
     let mut members = Vec::with_capacity(policies.len());
     let mut winner: Option<(u64, u32, Box<SynthesisResult>, SynthesisPolicy)> = None;
@@ -582,30 +485,7 @@ fn reduce(
                     detail: violations.first().cloned(),
                 }
             }
-            MemberOutcome::Dominated => {
-                stats.dominated += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::Dominated,
-                    cost: None,
-                    detail: None,
-                }
-            }
-            MemberOutcome::SkippedByBound => {
-                stats.skipped_by_bound += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::SkippedByBound,
-                    cost: None,
-                    detail: None,
-                }
-            }
-            MemberOutcome::Cancelled => MemberReport {
-                policy: policy.clone(),
-                status: MemberStatus::Cancelled,
-                cost: None,
-                detail: None,
-            },
+            MemberOutcome::Cancelled => return Err(ExploreError::Cancelled),
             MemberOutcome::Failed(detail) => {
                 stats.failed += 1;
                 MemberReport {

@@ -402,13 +402,8 @@ pub fn resynthesize_sequence(
         if accepted.is_none() && config.start.rank() <= Rung::Portfolio.rank() {
             let explored = {
                 let _span = observer.span("portfolio");
-                let xc = ExploreConfig {
-                    portfolio: config.portfolio,
-                    jobs: config.jobs,
-                    base: config.base.clone(),
-                    share_cache: true,
-                    cancel: None,
-                };
+                let xc = ExploreConfig::new(config.portfolio, config.jobs)
+                    .with_base(config.base.clone());
                 crate::explore_portfolio(
                     &spec_after,
                     lib,

@@ -1,14 +1,19 @@
 //! The engine's headline guarantee: the reduced winner — policy id,
 //! cost, and the full architecture — is bit-identical regardless of the
-//! worker count, because potential winners always run to completion and
-//! the reduction is a schedule-independent `min by (cost, policy-id)`.
+//! worker count, because every member runs to completion and the
+//! reduction is a schedule-independent `min by (cost, policy-id)`.
 
 // Test code: helpers unwrap freely on controlled inputs.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use crusade_core::{CoSynthesis, CosynOptions};
-use crusade_explore::{explore, ExploreConfig, ExploreOutcome};
+use crusade_explore::{explore, ExploreConfig, ExploreError, ExploreOutcome, MemberStatus};
 use crusade_model::{ResourceLibrary, SystemSpec};
+use crusade_obs::{Event, Metrics, SynthesisObserver};
 use crusade_workloads::{paper_examples, paper_library, random_example};
 
 /// The part of an outcome the determinism guarantee covers, in
@@ -27,41 +32,120 @@ fn run(spec: &SystemSpec, lib: &ResourceLibrary, jobs: usize) -> Option<ExploreO
     explore(spec, lib, &ExploreConfig::new(6, jobs)).ok()
 }
 
+/// Each member's `(policy id, status, cost)`, in policy order.
+fn members(outcome: &ExploreOutcome) -> Vec<(u32, MemberStatus, Option<u64>)> {
+    outcome
+        .members
+        .iter()
+        .map(|m| (m.policy.id, m.status.clone(), m.cost.map(|c| c.amount())))
+        .collect()
+}
+
+/// Allocation counters aggregated over every member: attempts, accepted,
+/// rejected, rejections by reason, placements.
+type Counters = (u64, u64, u64, BTreeMap<String, u64>, u64);
+
+/// [`run`] with one `Metrics` observer shared by every member.
+fn run_observed(
+    spec: &SystemSpec,
+    lib: &ResourceLibrary,
+    jobs: usize,
+) -> (Option<ExploreOutcome>, Counters) {
+    let metrics = Arc::new(Metrics::new());
+    let base = CosynOptions::default().with_observer(metrics.clone());
+    let outcome = explore(spec, lib, &ExploreConfig::new(6, jobs).with_base(base)).ok();
+    let m = metrics.snapshot();
+    let counters = (
+        m.attempts,
+        m.accepted,
+        m.rejected,
+        m.rejections_by_reason,
+        m.placements,
+    );
+    (outcome, counters)
+}
+
 #[test]
 fn random_specs_same_winner_at_any_job_count() {
     let lib = paper_library();
     let mut feasible = 0;
     for seed in [3u64, 7, 21] {
         let spec = random_example(seed).build(&lib);
-        let sequential = run(&spec, &lib.lib, 1);
-        let parallel = run(&spec, &lib.lib, 4);
-        match (sequential, parallel) {
-            (Some(s), Some(p)) => {
-                assert_eq!(
-                    fingerprint(&s),
-                    fingerprint(&p),
-                    "seed {seed}: winner differs between 1 and 4 jobs"
-                );
-                // More jobs than the portfolio's 6 members: one member
-                // per worker, and the stats report the workers run.
-                let wide = run(&spec, &lib.lib, 8).unwrap();
-                assert_eq!(
-                    fingerprint(&wide),
-                    fingerprint(&s),
-                    "seed {seed}: winner differs between 1 and 8 jobs"
-                );
-                assert_eq!(wide.stats.jobs, 6, "seed {seed}: workers actually run");
-                feasible += 1;
+        let (sequential, sequential_counters) = run_observed(&spec, &lib.lib, 1);
+        // Every attempt of every member ends in one acceptance or one
+        // rejection.
+        let (attempts, accepted, rejected, ..) = sequential_counters;
+        assert_eq!(attempts, accepted + rejected, "seed {seed}: attempts");
+        // 8 is more jobs than the portfolio's 6 members: one member per
+        // worker.
+        for jobs in [4usize, 8] {
+            let (parallel, counters) = run_observed(&spec, &lib.lib, jobs);
+            match (&sequential, &parallel) {
+                (Some(s), Some(p)) => {
+                    assert_eq!(
+                        fingerprint(s),
+                        fingerprint(p),
+                        "seed {seed}: winner differs between 1 and {jobs} jobs"
+                    );
+                    assert_eq!(
+                        members(s),
+                        members(p),
+                        "seed {seed}: member reports differ between 1 and {jobs} jobs"
+                    );
+                    assert_eq!(
+                        p.stats.jobs,
+                        jobs.min(6),
+                        "seed {seed}: workers actually run"
+                    );
+                }
+                (None, None) => {} // Infeasible either way is consistent.
+                (s, p) => panic!(
+                    "seed {seed}: feasibility depends on job count (jobs=1 {}, jobs={jobs} {})",
+                    s.is_some(),
+                    p.is_some()
+                ),
             }
-            (None, None) => {} // Infeasible either way is consistent.
-            (s, p) => panic!(
-                "seed {seed}: feasibility depends on job count (jobs=1 {}, jobs=4 {})",
-                s.is_some(),
-                p.is_some()
-            ),
+            assert_eq!(
+                sequential_counters, counters,
+                "seed {seed}: allocation counters differ between 1 and {jobs} jobs"
+            );
         }
+        feasible += usize::from(sequential.is_some());
     }
     assert!(feasible >= 2, "too few feasible seeds to be meaningful");
+}
+
+/// Raises the cancellation flag as soon as any member completes.
+struct CancelOnComplete(Arc<AtomicBool>);
+
+impl SynthesisObserver for CancelOnComplete {
+    fn event(&self, event: &Event) {
+        if matches!(event, Event::SynthesisComplete { .. }) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn cancelled_exploration_is_an_error_not_a_partial_winner() {
+    let lib = paper_library();
+    let spec = random_example(1).build(&lib);
+    // Member 0 completes first at one job, but does not win the full
+    // portfolio, so a winner reduced from it alone would be wrong.
+    assert_ne!(run(&spec, &lib.lib, 1).unwrap().policy.id, 0);
+    let cancel = Arc::new(AtomicBool::new(false));
+    let base =
+        CosynOptions::default().with_observer(Arc::new(CancelOnComplete(Arc::clone(&cancel))));
+    let config = ExploreConfig::new(6, 1)
+        .with_base(base)
+        .with_cancel(Arc::clone(&cancel));
+    let outcome = explore(&spec, &lib.lib, &config);
+    assert!(cancel.load(Ordering::Relaxed), "no member completed");
+    assert!(
+        matches!(outcome, Err(ExploreError::Cancelled)),
+        "cancelled exploration returned {:?}",
+        outcome.map(|o| (o.policy.id, o.winner.report.cost))
+    );
 }
 
 #[test]

@@ -154,11 +154,6 @@ pub enum Event {
         /// Number of allocation-array entries pruned.
         pruned: u64,
     },
-    /// A shared-cache lookup proved this candidate a known failure.
-    CacheHit {
-        /// Cluster being allocated.
-        cluster: u64,
-    },
     /// A task or transfer was placed on a schedule-board timeline.
     /// Emitted for *every* attempt, including scratch boards that are
     /// later discarded — the per-attempt stream is the point.
@@ -243,23 +238,13 @@ pub enum Event {
         /// interfaces were synthesised instead.
         fallback: bool,
     },
-    /// An exploration member improved the shared cost incumbent.
+    /// An exploration member finished audit-clean below every clean cost
+    /// seen so far in its portfolio.
     IncumbentUpdate {
         /// Portfolio policy index.
         policy: u64,
-        /// New incumbent cost (dollars).
+        /// New best cost (dollars).
         cost: u64,
-    },
-    /// An exploration member aborted because its lower bound was
-    /// dominated by the incumbent.
-    DominationAbort {
-        /// Portfolio policy index.
-        policy: u64,
-    },
-    /// An exploration member was skipped outright by the lint cost floor.
-    MemberSkipped {
-        /// Portfolio policy index.
-        policy: u64,
     },
     /// Synthesis finished; the headline figures of the run.
     SynthesisComplete {
@@ -324,7 +309,6 @@ impl Event {
             Event::CandidateAccepted { .. } => "CandidateAccepted",
             Event::CandidateRejected { .. } => "CandidateRejected",
             Event::CandidatesPruned { .. } => "CandidatesPruned",
-            Event::CacheHit { .. } => "CacheHit",
             Event::Placement { .. } => "Placement",
             Event::Preemption { .. } => "Preemption",
             Event::Eviction { .. } => "Eviction",
@@ -336,8 +320,6 @@ impl Event {
             Event::BootCharge { .. } => "BootCharge",
             Event::InterfaceChosen { .. } => "InterfaceChosen",
             Event::IncumbentUpdate { .. } => "IncumbentUpdate",
-            Event::DominationAbort { .. } => "DominationAbort",
-            Event::MemberSkipped { .. } => "MemberSkipped",
             Event::SynthesisComplete { .. } => "SynthesisComplete",
             Event::DeltaApplied { .. } => "DeltaApplied",
             Event::AdmissionChecked { .. } => "AdmissionChecked",
@@ -539,7 +521,7 @@ mod tests {
         let mut built = false;
         handle.emit(|| {
             built = true;
-            Event::CacheHit { cluster: 0 }
+            Event::Eviction { cluster: 0 }
         });
         assert!(!built, "closure must not run without an observer");
         assert!(!handle.is_enabled());
@@ -604,7 +586,7 @@ mod tests {
         let a = Arc::new(Recorder(Mutex::new(Vec::new())));
         let b = Arc::new(Recorder(Mutex::new(Vec::new())));
         let fan = Fanout::new().with(a.clone()).with(b.clone());
-        fan.event(&Event::CacheHit { cluster: 7 });
+        fan.event(&Event::Eviction { cluster: 7 });
         assert_eq!(a.0.lock().unwrap().len(), 1);
         assert_eq!(b.0.lock().unwrap().len(), 1);
     }

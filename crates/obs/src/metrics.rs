@@ -50,20 +50,11 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
         let count = |kind: &str| inner.by_kind.get(kind).copied().unwrap_or(0);
-        let attempts = count("CandidateConsidered");
-        let cache_hits = count("CacheHit");
-        let lookups = attempts + cache_hits;
         MetricsSnapshot {
-            attempts,
+            attempts: count("CandidateConsidered"),
             accepted: count("CandidateAccepted"),
             rejected: count("CandidateRejected"),
             pruned_events: count("CandidatesPruned"),
-            cache_hits,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
             placements: count("Placement"),
             preemptions: count("Preemption"),
             evictions: count("Eviction"),
@@ -73,8 +64,6 @@ impl Metrics {
             delay_evaluations: count("DelayEvaluated"),
             boot_charges: count("BootCharge"),
             incumbent_updates: count("IncumbentUpdate"),
-            domination_aborts: count("DominationAbort"),
-            members_skipped: count("MemberSkipped"),
             final_cost: inner.final_cost,
             final_attempts: inner.final_attempts,
             final_pruned: inner.final_pruned,
@@ -136,11 +125,6 @@ pub struct MetricsSnapshot {
     pub rejected: u64,
     /// `CandidatesPruned` events (one per cluster with a non-zero prune).
     pub pruned_events: u64,
-    /// Candidates skipped via the shared negative cache.
-    pub cache_hits: u64,
-    /// `cache_hits / (cache_hits + attempts)`; 0 when nothing was looked
-    /// up.
-    pub cache_hit_rate: f64,
     /// Timeline placements, including discarded scratch attempts.
     pub placements: u64,
     /// Preemption displacements.
@@ -159,10 +143,6 @@ pub struct MetricsSnapshot {
     pub boot_charges: u64,
     /// Exploration incumbent improvements.
     pub incumbent_updates: u64,
-    /// Exploration members aborted by domination.
-    pub domination_aborts: u64,
-    /// Exploration members skipped by the lint floor.
-    pub members_skipped: u64,
     /// Final architecture cost from `SynthesisComplete`, if the run
     /// finished.
     pub final_cost: Option<u64>,
@@ -215,7 +195,6 @@ mod tests {
             target: "new FPGA".into(),
             added_cost: 200,
         });
-        m.event(&Event::CacheHit { cluster: 1 });
         m.event(&Event::SynthesisComplete {
             cost: 720,
             pes: 2,
@@ -229,8 +208,6 @@ mod tests {
         assert_eq!(s.rejected, 1);
         assert_eq!(s.total_rejections(), 1);
         assert_eq!(s.rejections_by_reason.get("DeadlineMiss"), Some(&1));
-        assert_eq!(s.cache_hits, 1);
-        assert!((s.cache_hit_rate - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.final_cost, Some(720));
         assert_eq!(s.final_attempts, Some(2));
     }

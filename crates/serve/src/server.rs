@@ -220,8 +220,6 @@ fn coarse(event: &Event) -> bool {
         "SpanOpen"
             | "SpanClose"
             | "IncumbentUpdate"
-            | "DominationAbort"
-            | "MemberSkipped"
             | "SynthesisComplete"
             | "DeltaApplied"
             | "AdmissionChecked"

@@ -38,6 +38,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> explore smoke (2 examples, portfolio 4, jobs 2)"
 cargo run --release -q -p crusade-bench --bin explore -- \
     --examples A1TR,VDRTX --jobs 2 --portfolio 4
+cargo test --release -q -p crusade --test bench_artifacts explore
 
 echo "==> resyn smoke (2 examples, exit-code convention)"
 # Exit 0: a lone PE fault must be warm-repairable on both examples.
