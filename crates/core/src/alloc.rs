@@ -457,12 +457,6 @@ impl<'a> Allocator<'a> {
 
         let mut touched_graphs = vec![gid];
         for &t in &cluster.tasks {
-            // Estimated finish times of the cluster's graph against the
-            // current board — recomputed each step so the cluster's own
-            // placements (which may be much later than the from-scratch
-            // estimate) propagate into the ready times of edges from
-            // still-unplaced predecessors.
-            let est_finish = self.estimate_graph_finishes(gid);
             // Zero-duration tasks are recorded as 1 ns so occupancy stays
             // well-formed.
             let dur = graph
@@ -500,6 +494,19 @@ impl<'a> Allocator<'a> {
             }
             let latest_start = lf.saturating_sub(dur);
 
+            // Estimated finish times of the cluster's graph against the
+            // current board, read only for still-unplaced predecessors —
+            // recomputed each step so the cluster's own placements (which
+            // may be much later than an empty board's estimate) propagate
+            // into their edges' ready times.
+            let est_finish = graph
+                .predecessors(t)
+                .any(|(_, edge)| {
+                    let src = GlobalTaskId::new(gid, edge.from);
+                    self.arch.board.window(Occupant::Task(src)).is_none()
+                })
+                .then(|| self.estimate_graph_finishes(gid));
+
             // Ready time from predecessors.
             let mut ready = graph.est();
             for (eid, edge) in graph.predecessors(t) {
@@ -533,7 +540,8 @@ impl<'a> Allocator<'a> {
                         } else {
                             self.guaranteed_comm(edge.bytes)
                         };
-                        est_finish[edge.from.index()] + comm
+                        let est = est_finish.as_ref().ok_or(RejectReason::Internal)?;
+                        est[edge.from.index()] + comm
                     }
                 };
                 ready = ready.max(arrival);

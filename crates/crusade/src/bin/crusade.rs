@@ -1,8 +1,10 @@
 //! The CRUSADE command-line interface.
 //!
 //! ```text
-//! crusade synth <spec.json> [--no-reconfig]   co-synthesize a JSON specification
-//! crusade upgrade <old.json> <new.json>       can the new spec ship as firmware?
+//! crusade synth <spec.json|name> [--no-reconfig]
+//!                                             co-synthesize a specification
+//! crusade upgrade <old.json|name> <new.json|name>
+//!                                             can the new spec ship as firmware?
 //! crusade example <name> [--no-reconfig]      run a built-in paper benchmark
 //! crusade sample <path.json>                  write a sample specification file
 //! crusade lint <spec.json|name> [--format json]
@@ -80,9 +82,9 @@ const EXIT_ERRORS: u8 = 2;
 const USAGE: &str = "usage: crusade <command> ...
 
 commands:
-  synth <spec.json> [--no-reconfig] [--metrics]
+  synth <spec.json|name> [--no-reconfig] [--metrics]
                                                co-synthesize a specification
-  upgrade <old.json> <new.json>                can the new spec ship as firmware?
+  upgrade <old.json|name> <new.json|name>      can the new spec ship as firmware?
   example <name> [--no-reconfig]               run a built-in paper benchmark
   sample <path.json>                           write a sample specification file
   lint <spec.json|name> [--format json]        static analysis, no synthesis
@@ -151,19 +153,21 @@ fn options(args: &[String]) -> CosynOptions {
 }
 
 fn cmd_synth(args: &[String]) -> Result<u8, String> {
-    let path = args.first().ok_or("usage: crusade synth <spec.json>")?;
-    let file = load(path)?;
+    let arg = args
+        .first()
+        .ok_or("usage: crusade synth <spec.json|name>")?;
+    let (library, spec) = load_or_example(arg)?;
     let mut opts = options(args);
     let metrics = args.iter().any(|a| a == "--metrics").then(|| {
         let metrics = std::sync::Arc::new(crusade::obs::Metrics::new());
         opts = opts.clone().with_observer(metrics.clone());
         metrics
     });
-    let result = CoSynthesis::new(&file.spec, &file.library)
+    let result = CoSynthesis::new(&spec, &library)
         .with_options(opts)
         .run()
         .map_err(|e| e.to_string())?;
-    print!("{}", describe(&result, &file.spec, &file.library));
+    print!("{}", describe(&result, &spec, &library));
     if let Some(metrics) = metrics {
         println!(
             "{}",
@@ -174,13 +178,13 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_upgrade(args: &[String]) -> Result<u8, String> {
-    let (old_path, new_path) = match args {
+    let (old_arg, new_arg) = match args {
         [a, b, ..] => (a, b),
-        _ => return Err("usage: crusade upgrade <old.json> <new.json>".into()),
+        _ => return Err("usage: crusade upgrade <old.json|name> <new.json|name>".into()),
     };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-    let deployed = CoSynthesis::new(&old.spec, &old.library)
+    let (old_library, old_spec) = load_or_example(old_arg)?;
+    let (new_library, new_spec) = load_or_example(new_arg)?;
+    let deployed = CoSynthesis::new(&old_spec, &old_library)
         .run()
         .map_err(|e| format!("synthesizing the deployed system: {e}"))?;
     println!(
@@ -189,8 +193,8 @@ fn cmd_upgrade(args: &[String]) -> Result<u8, String> {
     );
     match upgrade_in_field(
         &deployed.architecture,
-        &new.spec,
-        &new.library,
+        &new_spec,
+        &new_library,
         &CosynOptions::default(),
     ) {
         Ok(up) => {

@@ -5,13 +5,15 @@
 //! on the board; if the allocation is rejected the placements are removed
 //! again. The board maps opaque resource ids (assigned by the architecture
 //! model in `crusade-core`) to [`Timeline`]s and keeps a reverse index from
-//! occupant to placement for O(1) window lookups.
+//! occupant to placement for O(1) window lookups: task and edge ids are
+//! dense within their graph, so the index is a table per graph.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-use crusade_model::Nanos;
+use crusade_model::{EdgeId, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, TaskId};
 use crusade_obs::{Event, ObserverHandle};
 
 use crate::{Occupant, PeriodicInterval, Placed, Timeline, Window};
@@ -81,10 +83,7 @@ pub struct Taken {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ScheduleBoard {
     timelines: Vec<Timeline>,
-    // A BTreeMap so that iteration (`placements`, `occupants_of`) and
-    // the serialized form are deterministic — the engine's winners must
-    // encode bit-identically run to run.
-    index: BTreeMap<Occupant, (ResourceId, PeriodicInterval)>,
+    index: OccupantIndex,
     // Disabled by default; serializes as `null` and deserializes back to
     // disabled, so persisted boards stay pure data.
     observer: ObserverHandle,
@@ -143,7 +142,7 @@ impl ScheduleBoard {
         limit: Nanos,
     ) -> Option<Nanos> {
         assert!(
-            !self.index.contains_key(&occupant),
+            self.index.get(occupant).is_none(),
             "occupant {occupant} is already placed"
         );
         let start =
@@ -186,7 +185,7 @@ impl ScheduleBoard {
     /// unknown.
     pub fn record(&mut self, resource: ResourceId, occupant: Occupant, interval: PeriodicInterval) {
         assert!(
-            !self.index.contains_key(&occupant),
+            self.index.get(occupant).is_none(),
             "occupant {occupant} is already placed"
         );
         self.timelines[resource.index()].record(occupant, interval);
@@ -210,7 +209,7 @@ impl ScheduleBoard {
     /// [`restore`](Self::restore) needs to put it back at the same
     /// timeline position. `None` when it is not placed.
     pub fn take(&mut self, occupant: Occupant) -> Option<Taken> {
-        let (resource, _) = self.index.remove(&occupant)?;
+        let (resource, _) = self.index.remove(occupant)?;
         let (position, placed) = self.timelines[resource.index()].take(occupant)?;
         Some(Taken {
             resource,
@@ -252,28 +251,28 @@ impl ScheduleBoard {
     /// The copy-0 window of a placed occupant.
     pub fn window(&self, occupant: Occupant) -> Option<Window> {
         self.index
-            .get(&occupant)
+            .get(occupant)
             .map(|(_, iv)| Window::new(iv.start(), iv.finish()))
     }
 
     /// The periodic interval of a placed occupant.
     pub fn interval(&self, occupant: Occupant) -> Option<&PeriodicInterval> {
-        self.index.get(&occupant).map(|(_, iv)| iv)
+        self.index.get(occupant).map(|(_, iv)| iv)
     }
 
     /// Which resource an occupant is placed on.
     pub fn resource_of(&self, occupant: Occupant) -> Option<ResourceId> {
-        self.index.get(&occupant).map(|(r, _)| *r)
+        self.index.get(occupant).map(|(r, _)| *r)
     }
 
     /// Iterates over all placements as `(occupant, resource, interval)`.
     pub fn placements(&self) -> impl Iterator<Item = (Occupant, ResourceId, &PeriodicInterval)> {
-        self.index.iter().map(|(o, (r, iv))| (*o, *r, iv))
+        self.index.iter().map(|(o, (r, iv))| (o, *r, iv))
     }
 
     /// Total number of placed occupants.
     pub fn placement_count(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Iterates over the occupants placed on one resource, with their
@@ -285,7 +284,7 @@ impl ScheduleBoard {
         self.index
             .iter()
             .filter(move |(_, (r, _))| *r == resource)
-            .map(|(o, (_, iv))| (*o, iv))
+            .map(|(o, (_, iv))| (o, iv))
     }
 
     /// Pairwise collision scan of one resource's timeline: every pair of
@@ -307,10 +306,139 @@ impl ScheduleBoard {
     }
 }
 
+/// Where a placed occupant sits.
+type Slot = (ResourceId, PeriodicInterval);
+
+/// The board's occupant index. Task and edge ids are dense within their
+/// graph, so their slots live in `[graph][id]` tables that grow on
+/// demand; the few `Reboot` and `CpuTransfer` occupants stay in an
+/// ordered map. Iteration, `Debug` and the serialized form follow
+/// [`Occupant`] order (tasks by graph then id, edges likewise, then the
+/// map) and show only placed occupants, exactly as a
+/// `BTreeMap<Occupant, Slot>` would: the engine's winners must encode
+/// bit-identically run to run, and however far a table has grown.
+#[derive(Clone, Default)]
+struct OccupantIndex {
+    tasks: Table,
+    edges: Table,
+    other: BTreeMap<Occupant, Slot>,
+    len: usize,
+}
+
+impl OccupantIndex {
+    fn get(&self, occupant: Occupant) -> Option<&Slot> {
+        match occupant {
+            Occupant::Task(t) => self.tasks.get(t.graph, t.task.index()),
+            Occupant::Edge(e) => self.edges.get(e.graph, e.edge.index()),
+            Occupant::Reboot { .. } | Occupant::CpuTransfer { .. } => self.other.get(&occupant),
+        }
+    }
+
+    /// Indexes `occupant`, replacing any slot it had.
+    fn insert(&mut self, occupant: Occupant, slot: Slot) {
+        let previous = match occupant {
+            Occupant::Task(t) => self.tasks.replace(t.graph, t.task.index(), slot),
+            Occupant::Edge(e) => self.edges.replace(e.graph, e.edge.index(), slot),
+            Occupant::Reboot { .. } | Occupant::CpuTransfer { .. } => {
+                self.other.insert(occupant, slot)
+            }
+        };
+        if previous.is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, occupant: Occupant) -> Option<Slot> {
+        let removed = match occupant {
+            Occupant::Task(t) => self.tasks.take(t.graph, t.task.index()),
+            Occupant::Edge(e) => self.edges.take(e.graph, e.edge.index()),
+            Occupant::Reboot { .. } | Occupant::CpuTransfer { .. } => self.other.remove(&occupant),
+        }?;
+        self.len -= 1;
+        Some(removed)
+    }
+
+    /// Placed occupants in [`Occupant`] order.
+    fn iter(&self) -> impl Iterator<Item = (Occupant, &Slot)> {
+        let tasks = self.tasks.iter().map(|(g, t, slot)| {
+            let id = GlobalTaskId::new(g, TaskId::new(t));
+            (Occupant::Task(id), slot)
+        });
+        let edges = self.edges.iter().map(|(g, e, slot)| {
+            let id = GlobalEdgeId::new(g, EdgeId::new(e));
+            (Occupant::Edge(id), slot)
+        });
+        let other = self.other.iter().map(|(o, slot)| (*o, slot));
+        tasks.chain(edges).chain(other)
+    }
+}
+
+impl fmt::Debug for OccupantIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for OccupantIndex {
+    fn serialize_value(&self) -> Value {
+        Value::Seq(
+            self.iter()
+                .map(|(o, slot)| Value::Seq(vec![o.serialize_value(), slot.serialize_value()]))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for OccupantIndex {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let mut index = OccupantIndex::default();
+        for (occupant, slot) in BTreeMap::<Occupant, Slot>::deserialize_value(v)? {
+            index.insert(occupant, slot);
+        }
+        Ok(index)
+    }
+}
+
+/// Slots by `[graph][id]`, for occupants whose ids are dense per graph.
+#[derive(Clone, Default)]
+struct Table(Vec<Vec<Option<Slot>>>);
+
+impl Table {
+    fn get(&self, graph: GraphId, id: usize) -> Option<&Slot> {
+        self.0.get(graph.index())?.get(id)?.as_ref()
+    }
+
+    /// Stores `slot` at `[graph][id]`, growing the table to reach it, and
+    /// returns the slot it replaced.
+    fn replace(&mut self, graph: GraphId, id: usize, slot: Slot) -> Option<Slot> {
+        let g = graph.index();
+        if self.0.len() <= g {
+            self.0.resize_with(g + 1, Vec::new);
+        }
+        let row = &mut self.0[g];
+        if row.len() <= id {
+            row.resize(id + 1, None);
+        }
+        row[id].replace(slot)
+    }
+
+    fn take(&mut self, graph: GraphId, id: usize) -> Option<Slot> {
+        self.0.get_mut(graph.index())?.get_mut(id)?.take()
+    }
+
+    /// The filled cells, in (graph, id) order.
+    fn iter(&self) -> impl Iterator<Item = (GraphId, usize, &Slot)> {
+        self.0.iter().enumerate().flat_map(|(g, row)| {
+            row.iter()
+                .enumerate()
+                .filter_map(move |(id, slot)| slot.as_ref().map(|slot| (GraphId::new(g), id, slot)))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crusade_model::{GlobalTaskId, GraphId, TaskId};
 
     fn occ(i: usize) -> Occupant {
         Occupant::Task(GlobalTaskId::new(GraphId::new(0), TaskId::new(i)))

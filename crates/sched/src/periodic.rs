@@ -89,19 +89,8 @@ impl PeriodicInterval {
     /// Whether any occurrence of `self` overlaps any occurrence of
     /// `other`, over the whole (bi-infinite) periodic pattern.
     pub fn collides(&self, other: &PeriodicInterval) -> bool {
-        let g = crusade_model::hyperperiod::gcd(self.period, other.period);
-        let d = self.duration.as_nanos();
-        let d2 = other.duration.as_nanos();
-        let g_ns = g.as_nanos();
-        if d + d2 > g_ns {
-            // The two patterns cannot avoid each other at all.
-            return true;
-        }
-        let r = signed_mod(
-            other.start.as_nanos() as i128 - self.start.as_nanos() as i128,
-            g_ns,
-        );
-        r < d || g_ns - r < d2
+        let residue = Residue::new(self.duration, self.period, other);
+        residue.always_collides() || residue.delay(self.start.as_nanos()) > 0
     }
 
     /// The earliest start `t ≥ from` at which an interval of `self`'s
@@ -113,54 +102,80 @@ impl PeriodicInterval {
     /// collides, this computes the next start worth trying against this
     /// particular occupant.
     pub fn earliest_clear(&self, other: &PeriodicInterval, from: Nanos) -> Option<Nanos> {
-        let probe = PeriodicInterval {
-            start: from,
-            ..*self
-        };
-        if !probe.collides(other) {
-            return Some(from);
-        }
-        let g = crusade_model::hyperperiod::gcd(self.period, other.period).as_nanos();
-        let d = self.duration.as_nanos();
-        let d2 = other.duration.as_nanos();
-        if d + d2 > g {
-            return None;
-        }
-        // r(t) = (other.start − t) mod g decreases by one as t increases by
-        // one; we need r ∈ [d2 … g − d]: the gap after `other`'s occurrence.
-        //
-        // Derivation: `probe` at start t collides iff r' = (s' − t) mod g
-        // satisfies r' > g − d2 (tail of other ahead of us) or r' < ...
-        // — equivalently, relative offset of other w.r.t. t must leave
-        // [t, t+d) clear, i.e. (s' − t) mod g ∈ [d ... g − d2] must *fail*;
-        // wait: collision iff r < d_other_side. Work with
-        // r = (s' − t) mod g and the collision predicate from `collides`
-        // with roles (self=probe at t): collide iff r < d? No: `collides`
-        // computes r = (other.start − self.start) mod g and tests
-        // r < self.duration || g − r < other.duration. We need the smallest
-        // x ≥ 0 with r(from + x) ∉ collision region, where
-        // r(from + x) = (r0 − x) mod g and the clear region is
-        // [d, g − d2].
-        let r0 = signed_mod(other.start.as_nanos() as i128 - from.as_nanos() as i128, g);
-        debug_assert!(r0 < d || g - r0 < d2);
-        let x = if r0 > g - d2 {
-            // Decrease r down to the top of the clear region, g − d2.
-            r0 - (g - d2)
-        } else {
-            // r0 < d: decrease past zero, wrapping to g − 1, down to g − d2.
-            r0 + d2
-        };
-        Some(from + Nanos::from_nanos(x))
+        let residue = Residue::new(self.duration, self.period, other);
+        (!residue.always_collides())
+            .then(|| from + Nanos::from_nanos(residue.delay(from.as_nanos())))
     }
 }
 
-/// `v mod m` with a non-negative result, for possibly-negative `v`.
-fn signed_mod(v: i128, m: u64) -> u64 {
-    let m = m as i128;
-    // The double-mod result is in [0, m), which fits u64 by construction.
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        (((v % m) + m) % m) as u64
+/// One occupant's periodic pattern as seen by probe intervals of a fixed
+/// duration `d` and period `P`: the collision arithmetic of the module
+/// docs with its gcd and start residue computed once, so a slot search
+/// can test many probe starts against the occupant without repeating
+/// them.
+///
+/// With `g = gcd(P, P')` and `r = (s' − t) mod g` for a probe starting at
+/// `t`, the probe collides iff `r < d` (the occupant starts inside the
+/// probe) or `g − r < d'` (the occupant's tail reaches into it). Clear
+/// starts are those with `r ∈ [d, g − d']`, which is empty when
+/// `d + d' > g`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Residue {
+    /// `gcd(P, P')`.
+    g: u64,
+    /// The occupant's start `s' mod g`.
+    start: u64,
+    /// Probe duration `d`.
+    duration: u64,
+    /// Occupant duration `d'`.
+    other_duration: u64,
+}
+
+impl Residue {
+    /// The residue of `other` against probes of `duration` and `period`.
+    pub(crate) fn new(duration: Nanos, period: Nanos, other: &PeriodicInterval) -> Self {
+        let g = crusade_model::hyperperiod::gcd(period, other.period).as_nanos();
+        Residue {
+            g,
+            start: other.start.as_nanos() % g,
+            duration: duration.as_nanos(),
+            other_duration: other.duration.as_nanos(),
+        }
+    }
+
+    /// Whether every probe start collides: `d + d' > g`.
+    pub(crate) fn always_collides(&self) -> bool {
+        self.other_duration > self.g || self.duration > self.g - self.other_duration
+    }
+
+    /// How far a probe starting at `t` must move later to clear the
+    /// occupant: 0 when it already does. Moving by less never clears it,
+    /// so `t + delay(t)` is the earliest clear start `≥ t`.
+    ///
+    /// Callers check [`always_collides`](Self::always_collides) first:
+    /// when it holds, no start clears the occupant.
+    pub(crate) fn delay(&self, t: u64) -> u64 {
+        let g = self.g;
+        let t = t % g;
+        // r = (s' − t) mod g, without leaving u64.
+        let r = if self.start >= t {
+            self.start - t
+        } else {
+            g - (t - self.start)
+        };
+        // r falls by one per unit the probe moves later, wrapping from 0
+        // to g − 1; the top of the clear region is g − d'.
+        let top = g - self.other_duration;
+        if r > top {
+            // The occupant's tail overlaps: step down to the top.
+            r - top
+        } else if r < self.duration {
+            // The occupant starts inside the probe: wrap past zero down
+            // to the top.
+            r + self.other_duration
+        } else {
+            0
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crusade_model::Nanos;
 
-use crate::periodic::PeriodicInterval;
+use crate::periodic::{PeriodicInterval, Residue};
 use crate::Occupant;
 
 /// One placed occupancy on a timeline.
@@ -70,10 +70,10 @@ impl Timeline {
     /// of the given duration and period collides with nothing already
     /// placed, places it, and returns `t`.
     ///
-    /// Returns `None` when no start `≤ limit` exists (either because the
-    /// timeline is congested up to the limit or because the new interval's
-    /// duration is fundamentally incompatible with an existing occupant's
-    /// period pattern).
+    /// Returns `None` when [`find_slot`](Self::find_slot) finds no start
+    /// `≤ limit`: the timeline is congested up to the limit, the new
+    /// interval's duration is fundamentally incompatible with an existing
+    /// occupant's period pattern, or the search ran out of passes.
     ///
     /// # Panics
     ///
@@ -96,6 +96,17 @@ impl Timeline {
 
     /// Like [`place`](Self::place) but without mutating the timeline:
     /// returns the start that *would* be chosen.
+    ///
+    /// First-fit by passes: each pass finds the first occupant, in
+    /// placement order, that the candidate start collides with, and jumps
+    /// to the earliest start that clears it. A jump never skips a
+    /// collision-free start. The search gives up after `4·n + 8` passes
+    /// for `n` occupants, so `None` can come back although a free start
+    /// `≤ limit` exists further on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration` is zero or exceeds `period`.
     pub fn find_slot(
         &self,
         ready: Nanos,
@@ -103,21 +114,23 @@ impl Timeline {
         period: Nanos,
         limit: Nanos,
     ) -> Option<Nanos> {
-        let mut t = ready;
-        // Each loop iteration either returns or advances `t` strictly past
-        // at least one occupant's blocking window; bound the number of
-        // passes to keep worst-case behaviour predictable.
-        let max_passes = 4 * self.placed.len() + 8;
-        for _ in 0..max_passes {
-            let probe = PeriodicInterval::new(t, duration, period);
-            match self.placed.iter().find(|p| probe.collides(&p.interval)) {
-                None => return if t <= limit { Some(t) } else { None },
-                Some(blocker) => {
-                    t = probe.earliest_clear(&blocker.interval, t)?;
-                    if t > limit {
-                        return None;
-                    }
-                }
+        // Validates duration and period as a placement would.
+        PeriodicInterval::new(ready, duration, period);
+        let residues: Vec<Residue> = self
+            .placed
+            .iter()
+            .map(|p| Residue::new(duration, period, &p.interval))
+            .collect();
+        // An occupant that collides with every start blocks every pass.
+        if residues.iter().any(Residue::always_collides) {
+            return None;
+        }
+        let limit = limit.as_nanos();
+        let mut t = ready.as_nanos();
+        for _ in 0..4 * residues.len() + 8 {
+            match residues.iter().map(|r| r.delay(t)).find(|&jump| jump > 0) {
+                None => return (t <= limit).then_some(Nanos::from_nanos(t)),
+                Some(jump) => t = t.checked_add(jump).filter(|&t| t <= limit)?,
             }
         }
         None

@@ -22,6 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -884,7 +885,23 @@ fn worker_loop(state: &Arc<State>) {
                 };
             }
         };
-        let (terminal, winner) = run_job(state, id, kind_view, &cancel, tx, queue_ms);
+        // A panicking job fails alone: the worker survives it, and the
+        // job's pending cache slot is released like any failure's.
+        let (terminal, winner) = catch_unwind(AssertUnwindSafe(|| {
+            run_job(state, id, kind_view, &cancel, tx, queue_ms)
+        }))
+        .unwrap_or_else(|panic| {
+            let detail = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            let error = ProtocolError {
+                kind: ProtocolErrorKind::Internal,
+                detail: format!("job {id} panicked: {detail}"),
+            };
+            (JobState::Failed(error), None)
+        });
         let mut inner = state.lock();
         if let (JobState::Done(result), Some(synthesis)) = (&terminal, winner) {
             // Promote the pending slot to a ready entry so duplicates hit.

@@ -110,6 +110,8 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo test --release -q -p crusade-verify --test audit_examples -- --ignored
     echo "==> fault-injection campaign (104 scenarios)"
     cargo run --release -q -p crusade-bench --bin campaign
+    echo "==> Table 2 columns (the six large examples, PEs/links/cost pinned)"
+    cargo test --release -q -p crusade --test table2_columns -- --ignored
     echo "==> exploration determinism (8 examples, jobs 1/2/8 bit-identical)"
     cargo test --release -q -p crusade-explore --test determinism -- --ignored
     echo "==> trace acceptance sweep (8 examples, metrics vs audit, jobs-invariant)"

@@ -141,6 +141,27 @@ fn explore_clean_spec_exits_zero_and_reports_winner() {
     );
 }
 
+/// `synth` resolves its argument like every other command: a
+/// generated-family reference or a built-in example name works as well
+/// as a file.
+#[test]
+fn synth_accepts_generated_refs_and_example_names() {
+    for arg in ["gen:7", "a1tr"] {
+        let out = crusade(&["synth", arg]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            exit_code(&out),
+            0,
+            "synth {arg}: stdout={stdout} stderr={}",
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(
+            stdout.starts_with("architecture: "),
+            "synth {arg} printed no architecture summary: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn unknown_command_exits_two() {
     let out = crusade(&["frobnicate"]);

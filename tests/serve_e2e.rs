@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use crusade::model::{GraphId, Nanos, ResourceLibrary, SpecDelta};
 use crusade::serve::{
-    ClientError, ProtocolErrorKind, ServeClient, ServeConfig, ServerHandle, SpecPayload,
+    ClientError, JobResult, ProtocolErrorKind, ServeClient, ServeConfig, ServerHandle, SpecPayload,
 };
 use crusade::workloads::motivating_example;
 
@@ -293,6 +293,69 @@ fn serve_binary_shuts_down_cleanly_with_exit_zero() {
     // status 0.
     let status = server.wait().unwrap();
     assert_eq!(status.code(), Some(0), "server exited non-zero after drain");
+}
+
+/// A job that panics fails alone: a 1-worker daemon answers it with an
+/// `Internal` error frame, then serves the next submission with the same
+/// worker, then drains on `shutdown`. The payload is `crusade sample`'s
+/// with its only link type's `access_times` emptied, which panics the
+/// first transfer-time estimate.
+#[test]
+fn panicking_job_fails_without_killing_its_worker() {
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("crusade-serve-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("sample.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_crusade"))
+        .args(["sample", spec.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "sample generation failed");
+    let text = std::fs::read_to_string(&spec).unwrap();
+    let valid: SpecPayload = serde_json::from_str(&text).unwrap();
+    let start = text.find("\"access_times\": [").unwrap();
+    let end = start + text[start..].find(']').unwrap() + 1;
+    let hostile = format!("{}\"access_times\": []{}", &text[..start], &text[end..]);
+    let hostile: SpecPayload = serde_json::from_str(&hostile).unwrap();
+
+    let (server, addr) = bind(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    match submit_within(&addr, hostile) {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, ProtocolErrorKind::Internal),
+        other => panic!("expected an Internal error frame, got {other:?}"),
+    }
+    let result = submit_within(&addr, valid).unwrap();
+    assert!(result.audit_clean && result.cost > 0);
+
+    let client = ServeClient::new(addr, "e2e-panic");
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.failed, stats.completed), (1, 1));
+    let report = client.shutdown().unwrap();
+    assert_eq!(
+        report.drained + report.cancelled,
+        0,
+        "nothing left to drain"
+    );
+    server.wait().unwrap();
+}
+
+/// Submits `payload` on a thread and waits at most two minutes for the
+/// reply, so a job that never finishes fails the test instead of hanging
+/// it.
+fn submit_within(addr: &str, payload: SpecPayload) -> Result<JobResult, ClientError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = ServeClient::new(addr.to_string(), "e2e-panic");
+    let submitter = std::thread::spawn(move || {
+        let _ = tx.send(client.submit(payload, 1, true, false, |_| {}));
+    });
+    let reply = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("no reply to a submission within two minutes");
+    submitter.join().expect("submitting thread panicked");
+    reply
 }
 
 #[test]
