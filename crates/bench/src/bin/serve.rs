@@ -6,9 +6,9 @@
 //!
 //! 1. **cold** — every client submits every selected example; the first
 //!    submission of each spec runs synthesis, the rest coalesce onto it
-//!    or hit the fingerprint cache;
+//!    or hit the cache;
 //! 2. **duplicate** — every client re-submits every example; by now each
-//!    fingerprint has a ready cache entry, so this phase must be served
+//!    spec has a ready cache entry, so this phase must be served
 //!    from the cache (the artifact records its hit rate);
 //! 3. **resyn** — one single-delta `Resyn` (a 1% deadline tighten)
 //!    against a cached incumbent, which must warm-start (incumbent from

@@ -116,7 +116,7 @@ commands:
   serve [--addr HOST:PORT] [--workers N] [--jobs N] [--queue-cap N] [--quota N]
         [--port-file path]                     synthesis-as-a-service daemon:
                                                newline-delimited JSON over TCP,
-                                               spec-fingerprint result cache,
+                                               result cache keyed by the spec,
                                                graceful drain via a Shutdown
                                                request (exit 0)
   client <submit|status|cancel|resyn|stats|shutdown> --addr HOST:PORT ...
@@ -870,6 +870,8 @@ fn cmd_client(args: &[String]) -> Result<u8, String> {
          verbs:\n  submit <spec.json|example-name> [--portfolio M] [--no-reconfig] [--stream] [--name ID]\n\
          \x20 status <job-id>\n  cancel <job-id>\n\
          \x20 resyn <spec.json|example-name> --deltas <deltas.json> [--portfolio M] [--no-reconfig] [--name ID]\n\
+         \x20   (resyn warm-starts from the incumbent a submit cached only when --portfolio\n\
+         \x20   and --no-reconfig match that submit's; both verbs default to portfolio 8)\n\
          \x20 stats\n  shutdown";
     let (verb, rest) = args.split_first().ok_or(CLIENT_USAGE)?;
     let addr = flag_str(args, "--addr")?.ok_or("client needs --addr HOST:PORT")?;
@@ -938,7 +940,9 @@ fn cmd_client(args: &[String]) -> Result<u8, String> {
                 .map_err(|e| format!("reading {deltas_path}: {e}"))?;
             let deltas: Vec<crusade::model::SpecDelta> =
                 serde_json::from_str(&text).map_err(|e| format!("parsing {deltas_path}: {e}"))?;
-            let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(4).max(1);
+            // The cached incumbent is keyed by the portfolio too: default
+            // to the submit's 8 so a default resyn finds it.
+            let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(8).max(1);
             let reconfiguration = !args.iter().any(|a| a == "--no-reconfig");
             let result = client
                 .resyn(payload, deltas, portfolio, reconfiguration)

@@ -23,7 +23,7 @@
 //!   policy portfolios, reduced deterministically to the cheapest
 //!   audit-clean winner;
 //! * [`serve`] — synthesis as a service: a batched co-synthesis daemon
-//!   with admission queueing, a spec-fingerprint architecture cache and
+//!   with admission queueing, an architecture cache keyed by the spec and
 //!   warm-start re-synthesis against cached incumbents;
 //! * [`workloads`] — deterministic reconstructions of the paper's
 //!   benchmarks;

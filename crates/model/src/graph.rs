@@ -15,7 +15,7 @@ use crate::{
 };
 
 /// A node of a task graph: an atomic unit of work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Task {
     /// Human-readable name (e.g. `"atm-cell-parse"`).
     pub name: String,
@@ -57,7 +57,7 @@ impl Task {
 }
 
 /// A directed communication edge between two tasks of the same graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Edge {
     /// Producing task.
     pub from: TaskId,
@@ -89,7 +89,7 @@ pub struct Edge {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TaskGraph {
     name: String,
     tasks: Vec<Task>,

@@ -35,7 +35,7 @@ use crate::{LinkType, LinkTypeId, PeType, PeTypeId};
 /// assert_eq!(lib.pe(asic).name(), "framer");
 /// assert_eq!(lib.link(bus).name(), "bus");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ResourceLibrary {
     pes: Vec<PeType>,
     links: Vec<LinkType>,

@@ -43,7 +43,7 @@ pub enum LinkClass {
 /// let t = bus.transfer_time(100, 3);
 /// assert_eq!(t, Nanos::from_nanos(600) + Nanos::from_micros(2) * 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkType {
     name: String,
     cost: Dollars,

@@ -24,7 +24,7 @@ pub enum PpeKind {
 }
 
 /// Attributes of a general-purpose processor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CpuAttrs {
     /// Total memory capacity available to tasks, in bytes (the paper
     /// evaluates DRAM banks of up to 64 MB per processor).
@@ -40,7 +40,7 @@ pub struct CpuAttrs {
 }
 
 /// Attributes of an ASIC.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AsicAttrs {
     /// Usable gate count.
     pub gates: u64,
@@ -49,7 +49,7 @@ pub struct AsicAttrs {
 }
 
 /// Attributes of a programmable PE (FPGA or CPLD).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PpeAttrs {
     /// FPGA or CPLD.
     pub kind: PpeKind,
@@ -79,7 +79,7 @@ impl PpeAttrs {
 }
 
 /// Class-specific attributes of a PE type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PeClass {
     /// General-purpose processor.
     Cpu(CpuAttrs),
@@ -110,7 +110,7 @@ pub enum PeClass {
 /// assert!(cpu.is_cpu());
 /// assert!(!cpu.is_reconfigurable());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PeType {
     name: String,
     cost: Dollars,

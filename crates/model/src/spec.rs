@@ -28,7 +28,7 @@ use crate::{hyperperiod, GraphId, Nanos, TaskGraph, ValidateSpecError};
 /// assert!(!m.compatible(GraphId::new(0), GraphId::new(1)));
 /// assert!(!m.compatible(GraphId::new(1), GraphId::new(1))); // never with itself
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CompatibilityMatrix {
     n: usize,
     /// Row-major upper-triangular-inclusive storage; entry (i, j).
@@ -118,7 +118,7 @@ impl CompatibilityMatrix {
 }
 
 /// System-wide synthesis constraints that are not per-graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SystemConstraints {
     /// Maximum tolerable reconfiguration (boot) time for any mode switch.
     /// The reconfiguration-controller interface synthesised for each
@@ -162,7 +162,7 @@ impl Default for SystemConstraints {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SystemSpec {
     graphs: Vec<TaskGraph>,
     /// Optional a-priori compatibility knowledge; `None` lets co-synthesis

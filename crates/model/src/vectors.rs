@@ -30,7 +30,7 @@ use crate::{Nanos, PeTypeId, TaskId};
 /// assert_eq!(v.on(PeTypeId::new(1)), None);
 /// assert_eq!(v.fastest(), Some(Nanos::from_micros(5)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ExecutionTimes {
     entries: Vec<Option<Nanos>>,
 }
@@ -121,7 +121,7 @@ impl ExecutionTimes {
 /// `Any` places no restriction beyond the execution-time vector; `Only`
 /// restricts the task to the listed PE types (which model "PEs with special
 /// resources for the task", e.g. a DSP block or a line interface).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Preference {
     /// No preference: any PE type with a defined execution time is allowed.
     #[default]
@@ -155,7 +155,7 @@ impl Preference {
 /// processing bottlenecks off the same processing element; CRUSADE-FT also
 /// uses them to force a duplicate task onto different hardware than its
 /// original.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Exclusions {
     peers: Vec<TaskId>,
 }
@@ -202,7 +202,7 @@ impl Exclusions {
 /// The co-synthesis allocation step verifies that the sum of the memory
 /// vectors of all tasks placed on a CPU does not exceed that CPU's memory
 /// capacity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemoryVector {
     /// Program (text) storage.
     pub program: u64,
@@ -258,7 +258,7 @@ impl std::ops::Add for MemoryVector {
 /// the device capacity scaled by the effective resource/pin utilisation
 /// factors (ERUF/EPUF) during delay management; for ASICs the `gates`
 /// figure is checked against the raw gate count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HwDemand {
     /// Equivalent gates consumed on an ASIC.
     pub gates: u64,

@@ -37,7 +37,7 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 /// A specification payload: the serde forms of the resource library and
 /// the system specification — the same JSON shape `crusade synth`
 /// accepts as a file (`{ "library": ..., "spec": ... }`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SpecPayload {
     /// The resource library the specification is synthesized against.
     pub library: ResourceLibrary,
@@ -102,8 +102,9 @@ pub struct JobRef {
 /// Payload of [`RequestBody::Resyn`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResynRequest {
-    /// The *pre-delta* specification — the system as deployed. Its
-    /// fingerprint locates the cached incumbent.
+    /// The *pre-delta* specification — the system as deployed. With the
+    /// portfolio and the reconfiguration flag it locates the cached
+    /// incumbent.
     pub payload: SpecPayload,
     /// The delta sequence to drive through the escalation ladder.
     pub deltas: Vec<SpecDelta>,
@@ -194,9 +195,10 @@ pub struct JobResult {
     /// The job that produced the architecture (for a cache hit, the
     /// original producing job).
     pub job: u64,
-    /// The spec fingerprint (cache key) as a hex string.
+    /// The spec fingerprint as a hex string: a stable label of the
+    /// synthesis inputs, computed once per cached spec.
     pub fingerprint: String,
-    /// `true` when the result was served from the fingerprint cache
+    /// `true` when the result was served from the architecture cache
     /// without running synthesis.
     pub cached: bool,
     /// `true` when an identical submission was already in flight and this
@@ -254,10 +256,10 @@ pub struct ResynStep {
 pub struct ResynResult {
     /// The job that ran the ladder.
     pub job: u64,
-    /// Fingerprint of the pre-delta specification (the incumbent's cache
-    /// key).
+    /// Fingerprint of the pre-delta specification (the incumbent's
+    /// label).
     pub fingerprint: String,
-    /// `true` when the incumbent came from the fingerprint cache (warm
+    /// `true` when the incumbent came from the architecture cache (warm
     /// start against a cached architecture); `false` when it had to be
     /// synthesized cold first.
     pub incumbent_cached: bool,
@@ -284,7 +286,7 @@ pub struct ServerStats {
     pub cancelled: u64,
     /// Jobs that failed.
     pub failed: u64,
-    /// Submissions served from the fingerprint cache.
+    /// Submissions served from the architecture cache.
     pub cache_hits: u64,
     /// Submissions that ran synthesis (filled the cache).
     pub cache_misses: u64,
@@ -454,7 +456,7 @@ pub fn decode_request(line: &str, max_bytes: usize) -> Result<Request, ProtocolE
             detail: format!("frame is {} bytes; cap is {max_bytes}", line.len()),
         });
     }
-    let value: Value = serde_json::from_str(line).map_err(|e| ProtocolError {
+    let value = serde_json::parse(line).map_err(|e| ProtocolError {
         kind: ProtocolErrorKind::MalformedFrame,
         detail: format!("parsing frame: {e}"),
     })?;

@@ -4,16 +4,18 @@
 //! long-lived server so a fleet of specifications can share one warm
 //! process: an admission queue with per-client quotas feeds a fixed
 //! worker pool running [`crusade_explore`] portfolios, identical
-//! submissions are answered from a spec-fingerprint architecture cache
-//! without re-running synthesis, and re-synthesis requests warm-start
-//! from the cached incumbent via the online escalation ladder.
+//! submissions are answered from an architecture cache keyed by the
+//! typed synthesis inputs without re-running synthesis, and
+//! re-synthesis requests warm-start from the cached incumbent via the
+//! online escalation ladder.
 //!
 //! The crate splits along the wire/domain seam:
 //!
 //! - [`dto`] — the versioned newline-delimited JSON protocol: request /
 //!   response / event frame types, strict decoding, typed
 //!   [`ProtocolError`]s.
-//! - [`fingerprint()`] — the canonical-JSON FNV-1a cache key.
+//! - [`fingerprint()`] — the canonical-JSON FNV-1a label of a cached
+//!   spec.
 //! - [`server`] — queue, quotas, workers, cache, cancellation and the
 //!   graceful (signal-free) drain.
 //! - [`client`] — a blocking client used by `crusade client` and the

@@ -1,5 +1,5 @@
 //! The domain side of `crusade-serve`: admission, job queue, worker
-//! pool, fingerprint cache and graceful drain.
+//! pool, architecture cache and graceful drain.
 //!
 //! The daemon is deliberately built on blocking `std` primitives — a
 //! `TcpListener` accept loop, a thread per connection, a fixed worker
@@ -91,19 +91,16 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// What a queued job will run.
+/// What a queued job will run. Its inputs travel as a [`CacheKey`], so
+/// a submit's work and its cache slot share one parsed payload.
 enum JobKind {
     Submit {
-        payload: Arc<SpecPayload>,
-        portfolio: usize,
-        reconfiguration: bool,
+        key: CacheKey,
         stream: bool,
     },
     Resyn {
-        payload: Arc<SpecPayload>,
+        key: CacheKey,
         deltas: Vec<SpecDelta>,
-        portfolio: usize,
-        reconfiguration: bool,
     },
 }
 
@@ -135,8 +132,9 @@ impl JobState {
 
 struct Job {
     client: String,
-    kind: JobKind,
-    fingerprint: String,
+    /// The job's inputs, until a worker claims them or the job ends in
+    /// the queue: a terminal job keeps only its state and bookkeeping.
+    work: Option<JobKind>,
     state: JobState,
     cancel: Arc<AtomicBool>,
     /// Completion signal and event stream: dropped (set to `None`) on
@@ -146,9 +144,19 @@ struct Job {
     queue_ms: f64,
 }
 
-/// One fingerprint's cache slot.
+/// The cache key: the synthesis inputs themselves. Synthesis is a
+/// deterministic function of them, and typed equality cannot collide the
+/// way a 64-bit hash of their JSON can.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct CacheKey {
+    payload: Arc<SpecPayload>,
+    portfolio: usize,
+    reconfiguration: bool,
+}
+
+/// One cache key's slot.
 enum CacheSlot {
-    /// A job with this fingerprint is queued or running; duplicates
+    /// A job with this key is queued or running; duplicates
     /// coalesce onto it instead of enqueueing again.
     Pending(u64),
     /// The finished winner: the wire result template plus the full
@@ -156,6 +164,8 @@ enum CacheSlot {
     Ready(Box<CacheEntry>),
 }
 
+/// A finished winner. The template carries the spec's fingerprint, so a
+/// hit or a warm resyn reads it instead of recomputing it.
 struct CacheEntry {
     template: JobResult,
     synthesis: SynthesisResult,
@@ -173,10 +183,14 @@ struct Counters {
     rejected: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, Job>,
-    cache: HashMap<String, CacheSlot>,
+    cache: HashMap<CacheKey, CacheSlot>,
+    /// Queued plus running jobs per client with any: admission reads
+    /// it instead of scanning the job table.
+    in_flight: HashMap<String, usize>,
     counters: Counters,
     next_job: u64,
     running: usize,
@@ -272,17 +286,7 @@ impl ServerHandle {
             .local_addr()
             .map_err(|e| ServeError::Bind(e.to_string()))?;
         let state = Arc::new(State {
-            inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                jobs: HashMap::new(),
-                cache: HashMap::new(),
-                counters: Counters::default(),
-                next_job: 0,
-                running: 0,
-                draining: false,
-                shutdown: false,
-                drain_report: None,
-            }),
+            inner: Mutex::new(Inner::default()),
             queue_cv: Condvar::new(),
             jobs_cv: Condvar::new(),
             config,
@@ -451,11 +455,7 @@ fn admit(inner: &Inner, state: &State, client: &str) -> Option<ProtocolError> {
             detail: format!("admission queue is at capacity {}", state.config.queue_cap),
         });
     }
-    let in_flight = inner
-        .jobs
-        .values()
-        .filter(|j| j.client == client && !j.state.terminal())
-        .count();
+    let in_flight = inner.in_flight.get(client).copied().unwrap_or(0);
     if in_flight >= state.config.client_quota {
         return Some(ProtocolError {
             kind: ProtocolErrorKind::QuotaExceeded,
@@ -490,18 +490,17 @@ fn enqueue(
     state: &State,
     inner: &mut Inner,
     client: &str,
-    kind: JobKind,
-    fp: String,
+    work: JobKind,
 ) -> (u64, mpsc::Receiver<JobEvent>) {
     let id = inner.next_job;
     inner.next_job += 1;
     let (tx, rx) = mpsc::channel();
+    *inner.in_flight.entry(client.to_string()).or_default() += 1;
     inner.jobs.insert(
         id,
         Job {
             client: client.to_string(),
-            kind,
-            fingerprint: fp,
+            work: Some(work),
             state: JobState::Queued,
             cancel: Arc::new(AtomicBool::new(false)),
             done_tx: Some(tx),
@@ -520,16 +519,10 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
         write_response(stream, &Response::new(ResponseBody::Error(e)));
         return;
     }
-    let portfolio = req.portfolio.max(1);
-    let fp = match fingerprint(&req.payload, portfolio, req.reconfiguration) {
-        Ok(fp) => fp,
-        Err(detail) => {
-            write_response(
-                stream,
-                &Response::error(ProtocolErrorKind::InvalidSpec, detail),
-            );
-            return;
-        }
+    let key = CacheKey {
+        payload: Arc::new(req.payload),
+        portfolio: req.portfolio.max(1),
+        reconfiguration: req.reconfiguration,
     };
 
     enum Admission {
@@ -541,7 +534,7 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
 
     let admission = {
         let mut inner = state.lock();
-        let probe = match inner.cache.get(&fp) {
+        let probe = match inner.cache.get(&key) {
             Some(CacheSlot::Ready(entry)) => Some(Ok(entry.template.clone())),
             Some(CacheSlot::Pending(producer)) => Some(Err(*producer)),
             None => None,
@@ -565,14 +558,12 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
                 }
                 None => {
                     inner.counters.cache_misses += 1;
-                    let kind = JobKind::Submit {
-                        payload: Arc::new(req.payload),
-                        portfolio,
-                        reconfiguration: req.reconfiguration,
+                    let work = JobKind::Submit {
+                        key: key.clone(),
                         stream: req.stream,
                     };
-                    let (id, rx) = enqueue(state, &mut inner, client, kind, fp.clone());
-                    inner.cache.insert(fp.clone(), CacheSlot::Pending(id));
+                    let (id, rx) = enqueue(state, &mut inner, client, work);
+                    inner.cache.insert(key, CacheSlot::Pending(id));
                     Admission::Enqueued(id, rx)
                 }
             },
@@ -676,7 +667,7 @@ fn handle_status(state: &Arc<State>, id: u64) -> Response {
     }
 }
 
-fn handle_cancel(state: &Arc<State>, id: u64) -> Response {
+fn handle_cancel(state: &State, id: u64) -> Response {
     let mut inner = state.lock();
     let action = match inner.jobs.get(&id) {
         Some(job) => match job.state {
@@ -711,10 +702,13 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
     if let Some(e) = validate_payload(&req.payload) {
         return Response::new(ResponseBody::Error(e));
     }
-    let portfolio = req.portfolio.max(1);
-    let fp = match fingerprint(&req.payload, portfolio, req.reconfiguration) {
-        Ok(fp) => fp,
-        Err(detail) => return Response::error(ProtocolErrorKind::InvalidSpec, detail),
+    let work = JobKind::Resyn {
+        key: CacheKey {
+            payload: Arc::new(req.payload),
+            portfolio: req.portfolio.max(1),
+            reconfiguration: req.reconfiguration,
+        },
+        deltas: req.deltas,
     };
     let (id, rx) = {
         let mut inner = state.lock();
@@ -722,13 +716,7 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
             inner.counters.rejected += 1;
             return Response::new(ResponseBody::Error(e));
         }
-        let kind = JobKind::Resyn {
-            payload: Arc::new(req.payload),
-            deltas: req.deltas,
-            portfolio,
-            reconfiguration: req.reconfiguration,
-        };
-        enqueue(state, &mut inner, client, kind, fp)
+        enqueue(state, &mut inner, client, work)
     };
     // Block until the worker finishes the ladder (the sender drops at
     // the terminal transition).
@@ -795,86 +783,71 @@ fn handle_shutdown(state: &Arc<State>) -> Response {
 }
 
 /// Records a terminal transition: sets the state, drops the completion
-/// sender (waking the submitting connection), updates the cache slot and
-/// counters, and wakes every `jobs_cv` waiter.
+/// sender (waking the submitting connection) and any unclaimed work,
+/// updates the counters and the client's in-flight count, and wakes
+/// every `jobs_cv` waiter.
 fn finish_job(state: &State, inner: &mut Inner, id: u64, terminal: JobState) {
+    let Some(job) = inner.jobs.get_mut(&id) else {
+        return;
+    };
+    if job.state.terminal() || !terminal.terminal() {
+        return; // not a terminal transition
+    }
     match &terminal {
         JobState::Done(_) | JobState::DoneResyn(_) => inner.counters.completed += 1,
         JobState::Cancelled => inner.counters.cancelled += 1,
-        JobState::Failed(_) => inner.counters.failed += 1,
-        JobState::Queued | JobState::Running => return, // not a terminal transition
+        _ => inner.counters.failed += 1,
     }
-    let fp_release = match inner.jobs.get_mut(&id) {
-        Some(job) => {
-            // A submit that did not finish with a cacheable winner must
-            // release its pending slot so later submissions re-run
-            // instead of coalescing onto a corpse.
-            let release = matches!(
-                (&job.kind, &terminal),
-                (JobKind::Submit { .. }, JobState::Cancelled)
-                    | (JobKind::Submit { .. }, JobState::Failed(_))
-            );
-            job.state = terminal;
-            job.done_tx = None;
-            release.then(|| job.fingerprint.clone())
+    job.state = terminal;
+    job.done_tx = None;
+    let work = job.work.take();
+    if let Some(n) = inner.in_flight.get_mut(&job.client) {
+        *n -= 1;
+        if *n == 0 {
+            inner.in_flight.remove(&job.client);
         }
-        None => return,
-    };
-    if let Some(fp) = fp_release {
-        if let Some(CacheSlot::Pending(producer)) = inner.cache.get(&fp) {
-            if *producer == id {
-                inner.cache.remove(&fp);
-            }
-        }
+    }
+    // Work is left only on a job that ended in the queue; a submit's
+    // pending slot goes with it.
+    if let Some(JobKind::Submit { key, .. }) = work {
+        release_pending(inner, &key, id);
     }
     state.jobs_cv.notify_all();
 }
 
+/// Frees `key`'s pending slot if job `id` still produces it: a submit
+/// that did not finish with a cacheable winner must let later
+/// submissions re-run instead of coalescing onto a corpse.
+fn release_pending(inner: &mut Inner, key: &CacheKey, id: u64) {
+    if matches!(inner.cache.get(key), Some(CacheSlot::Pending(producer)) if *producer == id) {
+        inner.cache.remove(key);
+    }
+}
+
 fn worker_loop(state: &Arc<State>) {
     loop {
-        let (id, kind_view, cancel, tx, queue_ms) = {
+        let (id, work, cancel, tx, queue_ms) = {
             let mut inner = state.lock();
             loop {
                 if let Some(id) = inner.queue.pop_front() {
-                    let claimed = inner.jobs.get_mut(&id).map(|job| {
+                    // The worker takes the job's work: the job keeps no
+                    // copy of the payload or the deltas.
+                    let claimed = inner.jobs.get_mut(&id).and_then(|job| {
+                        let work = job.work.take()?;
                         job.state = JobState::Running;
                         job.queue_ms = job.enqueued_at.elapsed().as_secs_f64() * 1000.0;
-                        let view = match &job.kind {
-                            JobKind::Submit {
-                                payload,
-                                portfolio,
-                                reconfiguration,
-                                stream,
-                            } => WorkView::Submit {
-                                payload: Arc::clone(payload),
-                                portfolio: *portfolio,
-                                reconfiguration: *reconfiguration,
-                                stream: *stream,
-                            },
-                            JobKind::Resyn {
-                                payload,
-                                deltas,
-                                portfolio,
-                                reconfiguration,
-                            } => WorkView::Resyn {
-                                payload: Arc::clone(payload),
-                                deltas: deltas.clone(),
-                                portfolio: *portfolio,
-                                reconfiguration: *reconfiguration,
-                            },
-                        };
-                        (
-                            view,
+                        Some((
+                            work,
                             Arc::clone(&job.cancel),
                             job.done_tx.clone(),
                             job.queue_ms,
-                        )
+                        ))
                     });
-                    let Some((view, cancel, tx, queue_ms)) = claimed else {
+                    let Some((work, cancel, tx, queue_ms)) = claimed else {
                         continue;
                     };
                     inner.running += 1;
-                    break (id, view, cancel, tx, queue_ms);
+                    break (id, work, cancel, tx, queue_ms);
                 }
                 if inner.shutdown {
                     return;
@@ -888,7 +861,7 @@ fn worker_loop(state: &Arc<State>) {
         // A panicking job fails alone: the worker survives it, and the
         // job's pending cache slot is released like any failure's.
         let (terminal, winner) = catch_unwind(AssertUnwindSafe(|| {
-            run_job(state, id, kind_view, &cancel, tx, queue_ms)
+            run_job(state, id, &work, &cancel, tx, queue_ms)
         }))
         .unwrap_or_else(|panic| {
             let detail = panic
@@ -903,35 +876,23 @@ fn worker_loop(state: &Arc<State>) {
             (JobState::Failed(error), None)
         });
         let mut inner = state.lock();
-        if let (JobState::Done(result), Some(synthesis)) = (&terminal, winner) {
-            // Promote the pending slot to a ready entry so duplicates hit.
-            inner.cache.insert(
-                result.fingerprint.clone(),
-                CacheSlot::Ready(Box::new(CacheEntry {
-                    template: *result.clone(),
-                    synthesis,
-                })),
-            );
+        if let JobKind::Submit { key, .. } = work {
+            match (&terminal, winner) {
+                // Promote the pending slot to a ready entry so duplicates
+                // hit; the key keeps the one payload the entry holds.
+                (JobState::Done(result), Some(synthesis)) => {
+                    let entry = CacheEntry {
+                        template: *result.clone(),
+                        synthesis,
+                    };
+                    inner.cache.insert(key, CacheSlot::Ready(Box::new(entry)));
+                }
+                _ => release_pending(&mut inner, &key, id),
+            }
         }
         inner.running -= 1;
         finish_job(state, &mut inner, id, terminal);
     }
-}
-
-/// What a worker copies out of the job under the lock.
-enum WorkView {
-    Submit {
-        payload: Arc<SpecPayload>,
-        portfolio: usize,
-        reconfiguration: bool,
-        stream: bool,
-    },
-    Resyn {
-        payload: Arc<SpecPayload>,
-        deltas: Vec<SpecDelta>,
-        portfolio: usize,
-        reconfiguration: bool,
-    },
 }
 
 fn base_options(reconfiguration: bool) -> CosynOptions {
@@ -942,186 +903,155 @@ fn base_options(reconfiguration: bool) -> CosynOptions {
     }
 }
 
+/// The wire result of an exploration winner, labelled with the spec's
+/// fingerprint, or the typed failure to compute that label.
+fn job_result(
+    id: u64,
+    key: &CacheKey,
+    outcome: &crusade_explore::ExploreOutcome,
+    queue_ms: f64,
+    run_ms: f64,
+) -> Result<JobResult, ProtocolError> {
+    let fingerprint =
+        fingerprint(&key.payload, key.portfolio, key.reconfiguration).map_err(|detail| {
+            ProtocolError {
+                kind: ProtocolErrorKind::InvalidSpec,
+                detail,
+            }
+        })?;
+    let report = &outcome.winner.report;
+    Ok(JobResult {
+        job: id,
+        fingerprint,
+        cached: false,
+        coalesced: false,
+        cost: report.cost.amount(),
+        policy: outcome.policy.id,
+        pes: report.pe_count,
+        links: report.link_count,
+        multi_mode_devices: report.multi_mode_devices,
+        audit_clean: true,
+        queue_ms,
+        run_ms,
+    })
+}
+
 /// Runs one job outside the lock. Returns the terminal state plus, for a
 /// successful submit, the full winner (for cache promotion).
 fn run_job(
     state: &Arc<State>,
     id: u64,
-    view: WorkView,
+    work: &JobKind,
     cancel: &Arc<AtomicBool>,
     tx: Option<mpsc::Sender<JobEvent>>,
     queue_ms: f64,
 ) -> (JobState, Option<SynthesisResult>) {
-    match view {
-        WorkView::Submit {
-            payload,
-            portfolio,
-            reconfiguration,
-            stream,
-        } => {
-            let mut base = base_options(reconfiguration);
-            if stream {
-                if let Some(tx) = tx {
-                    base = base.with_observer(Arc::new(ForwardObserver {
-                        job: id,
-                        seq: AtomicU64::new(0),
-                        tx: Mutex::new(tx),
-                    }));
-                }
-            }
-            let config =
-                crusade_explore::ExploreConfig::new(portfolio, state.config.jobs_per_explore)
-                    .with_base(base)
-                    .with_cancel(Arc::clone(cancel));
-            let started = Instant::now();
-            let outcome = crusade_explore::explore(&payload.spec, &payload.library, &config);
-            drop(config); // releases the observer's sender clone
-            let run_ms = started.elapsed().as_secs_f64() * 1000.0;
-            match outcome {
-                Ok(mut outcome) => {
-                    // The winner's schedule board carries a clone of the
-                    // observer handle; detach it, or a streamed job's
-                    // event sender would live on inside the cache and the
-                    // submitting connection would wait forever for the
-                    // channel to close.
-                    outcome
-                        .winner
-                        .architecture
-                        .board
-                        .set_observer(crusade_obs::ObserverHandle::none());
-                    let fp = state
-                        .lock()
-                        .jobs
-                        .get(&id)
-                        .map(|j| j.fingerprint.clone())
-                        .unwrap_or_default();
-                    let report = &outcome.winner.report;
-                    let result = JobResult {
-                        job: id,
-                        fingerprint: fp,
-                        cached: false,
-                        coalesced: false,
-                        cost: report.cost.amount(),
-                        policy: outcome.policy.id,
-                        pes: report.pe_count,
-                        links: report.link_count,
-                        multi_mode_devices: report.multi_mode_devices,
-                        audit_clean: true,
-                        queue_ms,
-                        run_ms,
-                    };
-                    (JobState::Done(Box::new(result)), Some(outcome.winner))
-                }
-                Err(e) => {
-                    let terminal = if cancel.load(Ordering::Relaxed) {
-                        JobState::Cancelled
-                    } else {
-                        JobState::Failed(ProtocolError {
-                            kind: ProtocolErrorKind::Infeasible,
-                            detail: e.to_string(),
-                        })
-                    };
-                    (terminal, None)
-                }
+    let (key, stream) = match work {
+        JobKind::Submit { key, stream } => (key, *stream),
+        JobKind::Resyn { key, deltas } => return (run_resyn(state, id, key, deltas), None),
+    };
+    let mut base = base_options(key.reconfiguration);
+    if stream {
+        if let Some(tx) = tx {
+            base = base.with_observer(Arc::new(ForwardObserver {
+                job: id,
+                seq: AtomicU64::new(0),
+                tx: Mutex::new(tx),
+            }));
+        }
+    }
+    let config = crusade_explore::ExploreConfig::new(key.portfolio, state.config.jobs_per_explore)
+        .with_base(base)
+        .with_cancel(Arc::clone(cancel));
+    let started = Instant::now();
+    let outcome = crusade_explore::explore(&key.payload.spec, &key.payload.library, &config);
+    drop(config); // releases the observer's sender clone
+    let run_ms = started.elapsed().as_secs_f64() * 1000.0;
+    match outcome {
+        Ok(mut outcome) => {
+            // The winner's schedule board carries a clone of the
+            // observer handle; detach it, or a streamed job's event
+            // sender would live on inside the cache and the submitting
+            // connection would wait forever for the channel to close.
+            outcome
+                .winner
+                .architecture
+                .board
+                .set_observer(crusade_obs::ObserverHandle::none());
+            match job_result(id, key, &outcome, queue_ms, run_ms) {
+                Ok(result) => (JobState::Done(Box::new(result)), Some(outcome.winner)),
+                Err(e) => (JobState::Failed(e), None),
             }
         }
-        WorkView::Resyn {
-            payload,
-            deltas,
-            portfolio,
-            reconfiguration,
-        } => (
-            run_resyn(state, id, &payload, deltas, portfolio, reconfiguration),
-            None,
-        ),
+        Err(e) => {
+            let terminal = if cancel.load(Ordering::Relaxed) {
+                JobState::Cancelled
+            } else {
+                JobState::Failed(ProtocolError {
+                    kind: ProtocolErrorKind::Infeasible,
+                    detail: e.to_string(),
+                })
+            };
+            (terminal, None)
+        }
     }
 }
 
-fn run_resyn(
-    state: &Arc<State>,
-    id: u64,
-    payload: &SpecPayload,
-    deltas: Vec<SpecDelta>,
-    portfolio: usize,
-    reconfiguration: bool,
-) -> JobState {
-    let fp = state
-        .lock()
-        .jobs
-        .get(&id)
-        .map(|j| j.fingerprint.clone())
-        .unwrap_or_default();
-    // Warm start from the fingerprint cache when the deployed system is
-    // already known; synthesize it cold otherwise (and fill the cache,
-    // since a cold incumbent is exactly a cold submit's winner).
-    let cached_incumbent = {
-        let inner = state.lock();
-        match inner.cache.get(&fp) {
-            Some(CacheSlot::Ready(entry)) => {
-                Some((entry.synthesis.clone(), entry.template.clone()))
-            }
-            _ => None,
+fn run_resyn(state: &Arc<State>, id: u64, key: &CacheKey, deltas: &[SpecDelta]) -> JobState {
+    // Warm start from the cache when the deployed system is already
+    // known; synthesize it cold otherwise (and fill the cache, since a
+    // cold incumbent is exactly a cold submit's winner).
+    let cached = match state.lock().cache.get(key) {
+        Some(CacheSlot::Ready(entry)) => {
+            Some((entry.synthesis.clone(), entry.template.fingerprint.clone()))
         }
+        _ => None,
     };
-    let incumbent_cached = cached_incumbent.is_some();
-    let incumbent = match cached_incumbent {
-        Some((synthesis, _)) => synthesis,
+    let incumbent_cached = cached.is_some();
+    let (incumbent, fingerprint) = match cached {
+        Some(hit) => hit,
         None => {
             let config =
-                crusade_explore::ExploreConfig::new(portfolio, state.config.jobs_per_explore)
-                    .with_base(base_options(reconfiguration));
+                crusade_explore::ExploreConfig::new(key.portfolio, state.config.jobs_per_explore)
+                    .with_base(base_options(key.reconfiguration));
             let started = Instant::now();
-            match crusade_explore::explore(&payload.spec, &payload.library, &config) {
-                Ok(outcome) => {
-                    let run_ms = started.elapsed().as_secs_f64() * 1000.0;
-                    let report = &outcome.winner.report;
-                    let template = JobResult {
-                        job: id,
-                        fingerprint: fp.clone(),
-                        cached: false,
-                        coalesced: false,
-                        cost: report.cost.amount(),
-                        policy: outcome.policy.id,
-                        pes: report.pe_count,
-                        links: report.link_count,
-                        multi_mode_devices: report.multi_mode_devices,
-                        audit_clean: true,
-                        queue_ms: 0.0,
-                        run_ms,
-                    };
-                    let mut inner = state.lock();
-                    if !inner.cache.contains_key(&fp) {
-                        inner.cache.insert(
-                            fp.clone(),
-                            CacheSlot::Ready(Box::new(CacheEntry {
-                                template,
-                                synthesis: outcome.winner.clone(),
-                            })),
-                        );
+            let outcome =
+                match crusade_explore::explore(&key.payload.spec, &key.payload.library, &config) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        return JobState::Failed(ProtocolError {
+                            kind: ProtocolErrorKind::Infeasible,
+                            detail: format!("cold incumbent synthesis failed: {e}"),
+                        })
                     }
-                    outcome.winner
-                }
-                Err(e) => {
-                    return JobState::Failed(ProtocolError {
-                        kind: ProtocolErrorKind::Infeasible,
-                        detail: format!("cold incumbent synthesis failed: {e}"),
-                    })
-                }
-            }
+                };
+            let run_ms = started.elapsed().as_secs_f64() * 1000.0;
+            let template = match job_result(id, key, &outcome, 0.0, run_ms) {
+                Ok(template) => template,
+                Err(e) => return JobState::Failed(e),
+            };
+            let fingerprint = template.fingerprint.clone();
+            state.lock().cache.entry(key.clone()).or_insert_with(|| {
+                CacheSlot::Ready(Box::new(CacheEntry {
+                    template,
+                    synthesis: outcome.winner.clone(),
+                }))
+            });
+            (outcome.winner, fingerprint)
         }
     };
     let incumbent_cost = incumbent.report.cost.amount();
     let resyn_config = crusade_explore::ResynConfig {
         jobs: state.config.jobs_per_explore,
-        portfolio,
-        base: base_options(reconfiguration),
+        portfolio: key.portfolio,
+        base: base_options(key.reconfiguration),
         ..crusade_explore::ResynConfig::default()
     };
     match crusade_explore::resynthesize_sequence(
-        &payload.spec,
-        &payload.library,
+        &key.payload.spec,
+        &key.payload.library,
         incumbent,
-        &deltas,
+        deltas,
         &resyn_config,
     ) {
         Ok(outcome) => {
@@ -1138,7 +1068,7 @@ fn run_resyn(
                 .collect();
             JobState::DoneResyn(Box::new(ResynResult {
                 job: id,
-                fingerprint: fp,
+                fingerprint,
                 incumbent_cached,
                 incumbent_cost,
                 final_cost: outcome.report.final_cost,
@@ -1151,5 +1081,106 @@ fn run_resyn(
             kind: ProtocolErrorKind::Infeasible,
             detail: format!("re-synthesis failed: {e:?}"),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+    use crusade_workloads::motivating_example;
+
+    fn payload() -> SpecPayload {
+        let (library, spec) = motivating_example();
+        SpecPayload { library, spec }
+    }
+
+    /// A daemon state with no listener and no workers: queued jobs stay
+    /// queued until a test finishes them.
+    fn idle_state(client_quota: usize) -> State {
+        State {
+            inner: Mutex::new(Inner::default()),
+            queue_cv: Condvar::new(),
+            jobs_cv: Condvar::new(),
+            config: ServeConfig {
+                client_quota,
+                ..ServeConfig::default()
+            },
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+        }
+    }
+
+    #[test]
+    fn admission_counts_each_clients_in_flight_jobs() {
+        let state = idle_state(1);
+        let key = CacheKey {
+            payload: Arc::new(payload()),
+            portfolio: 1,
+            reconfiguration: true,
+        };
+        let (id, _rx) = {
+            let mut inner = state.lock();
+            let work = JobKind::Submit {
+                key: key.clone(),
+                stream: false,
+            };
+            let (id, rx) = enqueue(&state, &mut inner, "a", work);
+            inner.cache.insert(key.clone(), CacheSlot::Pending(id));
+            (id, rx)
+        };
+        {
+            let inner = state.lock();
+            let refusal = admit(&inner, &state, "a").map(|e| e.kind);
+            assert_eq!(refusal, Some(ProtocolErrorKind::QuotaExceeded));
+            assert!(admit(&inner, &state, "b").is_none(), "quota is per client");
+        }
+
+        let reply = handle_cancel(&state, id);
+        assert!(
+            matches!(&reply.body, ResponseBody::Cancelled(s) if s.state == "cancelled"),
+            "{reply:?}"
+        );
+        let inner = state.lock();
+        assert!(
+            admit(&inner, &state, "a").is_none(),
+            "cancel freed the slot"
+        );
+        assert!(inner.in_flight.is_empty());
+        assert!(
+            inner.jobs[&id].work.is_none(),
+            "a cancelled job kept its work"
+        );
+        assert!(inner.cache.is_empty(), "the pending slot outlived its job");
+        assert_eq!(Arc::strong_count(&key.payload), 1);
+    }
+
+    #[test]
+    fn finished_jobs_keep_no_payload_and_entries_keep_one() {
+        let server = ServerHandle::bind(ServeConfig::default()).unwrap();
+        let client = ServeClient::new(server.local_addr().to_string(), "unit");
+        let cold = client.submit(payload(), 4, true, false, |_| {}).unwrap();
+        let hit = client.submit(payload(), 4, true, false, |_| {}).unwrap();
+        assert!(!cold.cached && hit.cached);
+        assert_eq!(hit.fingerprint, cold.fingerprint);
+        let fault = SpecDelta::FailPe { pe: 0 };
+        let resyn = client.resyn(payload(), vec![fault], 4, true).unwrap();
+        assert!(resyn.incumbent_cached);
+        assert_eq!(resyn.fingerprint, cold.fingerprint);
+        {
+            let inner = server.state.lock();
+            // The hit ran no job: the cold submit and the resyn did.
+            assert_eq!(inner.jobs.len(), 2);
+            for job in inner.jobs.values() {
+                assert!(job.state.terminal() && job.work.is_none());
+            }
+            assert!(inner.in_flight.is_empty());
+            assert_eq!(inner.cache.len(), 1);
+            for (key, slot) in &inner.cache {
+                assert!(matches!(slot, CacheSlot::Ready(_)));
+                assert_eq!(Arc::strong_count(&key.payload), 1, "a second payload");
+            }
+        }
+        client.shutdown().unwrap();
+        server.wait().unwrap();
     }
 }

@@ -66,7 +66,7 @@ echo "==> sweep smoke (1 utilization point, 2 seeds)"
 cargo run --release -q -p crusade --bin crusade -- \
     sweep --points 1.6 --seeds 2 --secondary none
 
-echo "==> serve smoke (ephemeral port, submit + cache hit + clean shutdown)"
+echo "==> serve smoke (ephemeral port, submit + cache hit + cached resyn + clean shutdown)"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SERVE_DIR"; rm -f "$RESYN_DELTAS"' EXIT
 cargo run --release -q -p crusade --bin crusade -- sample "$SERVE_DIR/spec.json"
@@ -86,14 +86,24 @@ fi
 serve_addr="$(cat "$SERVE_DIR/port.txt")"
 # First submission synthesizes and must report audit-clean figures.
 cargo run --release -q -p crusade --bin crusade -- \
-    client submit "$SERVE_DIR/spec.json" --addr "$serve_addr" --portfolio 2 \
+    client submit "$SERVE_DIR/spec.json" --addr "$serve_addr" \
     | tee "$SERVE_DIR/first.txt"
-# The duplicate must be served from the fingerprint cache.
+# The duplicate must be served from the cache.
 cargo run --release -q -p crusade --bin crusade -- \
-    client submit "$SERVE_DIR/spec.json" --addr "$serve_addr" --portfolio 2 \
+    client submit "$SERVE_DIR/spec.json" --addr "$serve_addr" \
     | tee "$SERVE_DIR/second.txt"
 if ! grep -q "cached" "$SERVE_DIR/second.txt"; then
     echo "serve smoke: duplicate submission missed the cache" >&2
+    exit 1
+fi
+# A resyn with default flags must warm-start from the cached incumbent
+# (exit 0: a lone PE fault repairs on a warm rung).
+echo '[{"FailPe":{"pe":0}}]' > "$SERVE_DIR/deltas.json"
+cargo run --release -q -p crusade --bin crusade -- \
+    client resyn "$SERVE_DIR/spec.json" --deltas "$SERVE_DIR/deltas.json" \
+    --addr "$serve_addr" | tee "$SERVE_DIR/resyn.txt"
+if ! grep -q "(cached)" "$SERVE_DIR/resyn.txt"; then
+    echo "serve smoke: default resyn missed the cached incumbent" >&2
     exit 1
 fi
 # Graceful drain: the Shutdown request alone must exit the server with 0.

@@ -408,3 +408,79 @@ fn generated_specs_fingerprint_by_seed() {
     client.shutdown().unwrap();
     server.wait().unwrap();
 }
+
+/// `crusade client resyn` with default flags warm-starts from the
+/// incumbent a default `crusade client submit` cached: both verbs
+/// default to the same portfolio, which is part of the cache key.
+#[test]
+fn default_client_resyn_finds_the_default_submits_incumbent() {
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("crusade-serve-resyn-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("sample.json");
+    let deltas = dir.join("deltas.json");
+    let port_file = dir.join("port.txt");
+    let _ = std::fs::remove_file(&port_file);
+    std::fs::write(&deltas, r#"[{"FailPe":{"pe":0}}]"#).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_crusade"))
+        .args(["sample", spec.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "sample generation failed");
+
+    /// Kills the daemon if an assertion fails before its clean shutdown.
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Reap(
+        Command::new(env!("CARGO_BIN_EXE_crusade"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut addr = String::new();
+    for _ in 0..300 {
+        match std::fs::read_to_string(&port_file) {
+            Ok(text) if !text.trim().is_empty() => {
+                addr = text.trim().to_string();
+                break;
+            }
+            _ => std::thread::sleep(std::time::Duration::from_millis(100)),
+        }
+    }
+    assert!(!addr.is_empty(), "server never wrote its port file");
+    let client = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_crusade"))
+            .arg("client")
+            .args(args)
+            .args(["--addr", &addr])
+            .output()
+            .unwrap()
+    };
+
+    let submit = client(&["submit", spec.to_str().unwrap()]);
+    assert_eq!(submit.status.code(), Some(0), "default submit failed");
+    let resyn = client(&[
+        "resyn",
+        spec.to_str().unwrap(),
+        "--deltas",
+        deltas.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&resyn.stdout);
+    assert_eq!(resyn.status.code(), Some(0), "default resyn: {stdout}");
+    assert!(
+        stdout.contains("(cached)"),
+        "default resyn missed the default submit's incumbent: {stdout}"
+    );
+
+    assert_eq!(client(&["shutdown"]).status.code(), Some(0));
+    assert_eq!(server.0.wait().unwrap().code(), Some(0));
+}
