@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crusade_model::{
-    Dollars, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, PeClass, PeTypeId, Priority,
+    Dollars, EdgeId, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, PeClass, PeTypeId, Priority,
     ResourceLibrary, SystemSpec, TaskId,
 };
 use crusade_obs::{Event, RejectReason};
@@ -72,17 +72,82 @@ pub struct AllocationDecision {
     pub added_cost: Dollars,
 }
 
+/// The allocator's read-only tables for one specification and one
+/// clustering, indexed `[graph][task]` or `[graph][edge]`. They depend on
+/// nothing an allocation decides, so runs that share a clustering share
+/// them too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AllocBounds {
+    /// Latest-finish bound per task, from worst-case (slowest-PE)
+    /// estimates of the downstream path.
+    latest_finish: Vec<Vec<Nanos>>,
+    /// Priority level per task (for preemption decisions).
+    priorities: Vec<Vec<Priority>>,
+    /// Slowest entry of each task's execution vector (zero when none).
+    slowest: Vec<Vec<Nanos>>,
+    /// Guaranteed communication time per edge: zero inside a cluster,
+    /// otherwise the fastest library link, freshly instantiated, under
+    /// worst-case medium access. Any inter-PE edge can always achieve
+    /// this budget, so commitments made against it for not-yet-placed
+    /// edges are always honourable later.
+    comm: Vec<Vec<Nanos>>,
+}
+
+impl AllocBounds {
+    /// Builds the tables of `spec` under `clustering`.
+    pub fn new(spec: &SystemSpec, lib: &ResourceLibrary, clustering: &Clustering) -> Self {
+        let mut bounds = AllocBounds {
+            latest_finish: Vec::with_capacity(spec.graph_count()),
+            priorities: Vec::with_capacity(spec.graph_count()),
+            slowest: Vec::with_capacity(spec.graph_count()),
+            comm: Vec::with_capacity(spec.graph_count()),
+        };
+        for (gid, graph) in spec.graphs() {
+            // Worst-case execution estimates keep the latest-finish
+            // bounds consistent with the acceptance check: a placement
+            // admitted against these bounds can never strand a downstream
+            // task, whichever PE type it later lands on.
+            let slowest: Vec<Nanos> = graph
+                .tasks()
+                .map(|(_, t)| t.exec.slowest().unwrap_or(Nanos::ZERO))
+                .collect();
+            let comm: Vec<Nanos> = graph
+                .edges()
+                .map(|(_, edge)| {
+                    if clustering.same_cluster(gid, edge.from, edge.to) {
+                        Nanos::ZERO
+                    } else {
+                        lib.link_slice()
+                            .iter()
+                            .map(|l| l.worst_transfer_time(edge.bytes))
+                            .min()
+                            .unwrap_or(Nanos::ZERO)
+                    }
+                })
+                .collect();
+            let exec = |t: TaskId| slowest[t.index()];
+            let comm_est = |e: EdgeId| comm[e.index()];
+            bounds
+                .latest_finish
+                .push(latest_finish_times(graph, exec, comm_est));
+            bounds
+                .priorities
+                .push(priority_levels(graph, exec, comm_est));
+            bounds.slowest.push(slowest);
+            bounds.comm.push(comm);
+        }
+        bounds
+    }
+}
+
 /// The mutable allocation engine driving the synthesis loops.
 pub struct Allocator<'a> {
     spec: &'a SystemSpec,
     lib: &'a ResourceLibrary,
     options: &'a CosynOptions,
     clustering: &'a Clustering,
-    /// Latest-finish bound per `[graph][task]`, from worst-case
-    /// (slowest-PE) estimates of the downstream path.
-    latest_finish: Vec<Vec<Nanos>>,
-    /// Priority level per `[graph][task]` (for preemption decisions).
-    priorities: Vec<Vec<Priority>>,
+    /// Per-task and per-edge bounds of `spec` under `clustering`.
+    bounds: &'a AllocBounds,
     /// The architecture under construction.
     pub arch: Architecture,
     /// Where each cluster was placed.
@@ -103,40 +168,15 @@ pub struct Allocator<'a> {
 }
 
 impl<'a> Allocator<'a> {
-    /// Prepares an empty architecture and the per-task bounds.
+    /// Prepares an empty architecture. `bounds` must be the
+    /// [`AllocBounds`] of `spec` under `clustering`.
     pub fn new(
         spec: &'a SystemSpec,
         lib: &'a ResourceLibrary,
         options: &'a CosynOptions,
         clustering: &'a Clustering,
+        bounds: &'a AllocBounds,
     ) -> Self {
-        let mut latest_finish = Vec::with_capacity(spec.graph_count());
-        let mut priorities = Vec::with_capacity(spec.graph_count());
-        for (gid, graph) in spec.graphs() {
-            let comm_est = |e: crusade_model::EdgeId| {
-                let edge = graph.edge(e);
-                if clustering.same_cluster(gid, edge.from, edge.to) {
-                    Nanos::ZERO
-                } else {
-                    lib.link_slice()
-                        .iter()
-                        .map(|l| l.worst_transfer_time(edge.bytes))
-                        .min()
-                        .unwrap_or(Nanos::ZERO)
-                }
-            };
-            // Worst-case execution estimates keep the latest-finish
-            // bounds consistent with the acceptance check: a placement
-            // admitted against these bounds can never strand a downstream
-            // task, whichever PE type it later lands on.
-            let exec_worst = |t: TaskId| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO);
-            latest_finish.push(latest_finish_times(graph, exec_worst, comm_est));
-            priorities.push(priority_levels(
-                graph,
-                |t| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO),
-                comm_est,
-            ));
-        }
         let decisions = vec![None; clustering.cluster_count()];
         // The board shares the options' observer handle: every placement
         // attempt — including ones later rolled back — reports the slot
@@ -148,8 +188,7 @@ impl<'a> Allocator<'a> {
             lib,
             options,
             clustering,
-            latest_finish,
-            priorities,
+            bounds,
             arch,
             decisions,
             allow_new_instances: true,
@@ -181,9 +220,10 @@ impl<'a> Allocator<'a> {
         lib: &'a ResourceLibrary,
         options: &'a CosynOptions,
         clustering: &'a Clustering,
+        bounds: &'a AllocBounds,
         shell: Architecture,
     ) -> Self {
-        let mut a = Allocator::new(spec, lib, options, clustering);
+        let mut a = Allocator::new(spec, lib, options, clustering, bounds);
         a.arch = shell;
         a.arch.board.set_observer(options.observer.clone());
         a.allow_new_instances = false;
@@ -202,9 +242,10 @@ impl<'a> Allocator<'a> {
         lib: &'a ResourceLibrary,
         options: &'a CosynOptions,
         clustering: &'a Clustering,
+        bounds: &'a AllocBounds,
         arch: Architecture,
     ) -> Self {
-        let mut a = Allocator::new(spec, lib, options, clustering);
+        let mut a = Allocator::new(spec, lib, options, clustering, bounds);
         a.arch = arch;
         a.arch.board.set_observer(options.observer.clone());
         a
@@ -480,16 +521,12 @@ impl<'a> Allocator<'a> {
             // bound, consumers that are already placed impose hard finish
             // bounds of their own: this task must finish early enough for
             // the connecting edge to arrive before the consumer starts.
-            let mut lf = self.latest_finish[gid.index()][t.index()];
+            let comm = &self.bounds.comm[gid.index()];
+            let mut lf = self.bounds.latest_finish[gid.index()][t.index()];
             for (eid, edge) in graph.successors(t) {
                 let dst = GlobalTaskId::new(gid, edge.to);
                 if let Some(cw) = self.arch.board.window(Occupant::Task(dst)) {
-                    let comm = if self.clustering.same_cluster(gid, t, edge.to) {
-                        Nanos::ZERO
-                    } else {
-                        self.guaranteed_comm(graph.edge(eid).bytes)
-                    };
-                    lf = lf.min(cw.start.saturating_sub(comm));
+                    lf = lf.min(cw.start.saturating_sub(comm[eid.index()]));
                 }
             }
             let latest_start = lf.saturating_sub(dur);
@@ -535,13 +572,8 @@ impl<'a> Allocator<'a> {
                     None => {
                         // Predecessor not yet allocated: conservative
                         // estimate plus the guaranteed communication time.
-                        let comm = if self.clustering.same_cluster(gid, edge.from, edge.to) {
-                            Nanos::ZERO
-                        } else {
-                            self.guaranteed_comm(edge.bytes)
-                        };
                         let est = est_finish.as_ref().ok_or(RejectReason::Internal)?;
-                        est[edge.from.index()] + comm
+                        est[edge.from.index()] + comm[eid.index()]
                     }
                 };
                 ready = ready.max(arrival);
@@ -644,6 +676,7 @@ impl<'a> Allocator<'a> {
         touched_graphs.dedup();
         for g in touched_graphs {
             let graph = self.spec.graph(g);
+            let comm = &self.bounds.comm[g.index()];
             let finishes = self.estimate_graph_finishes(g);
             if !check_deadlines(graph, &finishes).is_empty() {
                 return Err(RejectReason::DeadlineMiss);
@@ -659,12 +692,7 @@ impl<'a> Allocator<'a> {
                     .window(Occupant::Task(GlobalTaskId::new(g, edge.from)))
                     .is_some();
                 if let (Some(cw), false) = (consumer, producer_placed) {
-                    let comm = if self.clustering.same_cluster(g, edge.from, edge.to) {
-                        Nanos::ZERO
-                    } else {
-                        self.guaranteed_comm(graph.edge(eid).bytes)
-                    };
-                    if finishes[edge.from.index()] + comm > cw.start {
+                    if finishes[edge.from.index()] + comm[eid.index()] > cw.start {
                         return Err(RejectReason::ProducerInversion);
                     }
                 }
@@ -689,7 +717,7 @@ impl<'a> Allocator<'a> {
         touched_graphs: &mut Vec<GraphId>,
     ) -> Option<Nanos> {
         let resource = self.arch.pe(pid).resource;
-        let my_prio = self.priorities[gt.graph.index()][gt.task.index()];
+        let my_prio = self.bounds.priorities[gt.graph.index()][gt.task.index()];
         // Victim candidates: strictly lower-priority tasks on this CPU.
         let mut victims: Vec<(GlobalTaskId, PeriodicInterval)> = self
             .arch
@@ -698,13 +726,13 @@ impl<'a> Allocator<'a> {
             .iter()
             .filter_map(|p| match p.occupant {
                 Occupant::Task(v) => {
-                    let vp = self.priorities[v.graph.index()][v.task.index()];
+                    let vp = self.bounds.priorities[v.graph.index()][v.task.index()];
                     (vp < my_prio).then_some((v, p.interval))
                 }
                 _ => None,
             })
             .collect();
-        victims.sort_by_key(|(v, _)| self.priorities[v.graph.index()][v.task.index()]);
+        victims.sort_by_key(|(v, _)| self.bounds.priorities[v.graph.index()][v.task.index()]);
         // The preemption overheads charged to a re-placed victim.
         let overhead = self.spec.constraints().preemption_overhead
             + self
@@ -753,7 +781,7 @@ impl<'a> Allocator<'a> {
     ) -> bool {
         let resource = self.arch.pe(pid).resource;
         let new_dur = original.duration() + overhead;
-        let vlf = self.latest_finish[victim.graph.index()][victim.task.index()];
+        let vlf = self.bounds.latest_finish[victim.graph.index()][victim.task.index()];
         let Some(vstart) = self.journal.place(
             &mut self.arch,
             resource,
@@ -791,7 +819,7 @@ impl<'a> Allocator<'a> {
     /// transfer time): a link already joining the pair, then extendable
     /// existing links, then a new instance of each library type. Because a
     /// fresh link of the fastest type is always among the options, an edge
-    /// that fits the [`Self::guaranteed_comm`] budget always places — the
+    /// that fits its [`AllocBounds`] communication budget always places — the
     /// property that keeps acceptance estimates sound.
     ///
     /// Edge durations are budgeted with the worst-case (fully-populated)
@@ -935,19 +963,6 @@ impl<'a> Allocator<'a> {
         None
     }
 
-    /// The communication budget any inter-PE edge can always achieve: the
-    /// fastest library link, freshly instantiated, under worst-case medium
-    /// access. Acceptance estimates use this so that commitments made for
-    /// not-yet-placed edges are always honourable later.
-    fn guaranteed_comm(&self, bytes: u64) -> Nanos {
-        self.lib
-            .link_slice()
-            .iter()
-            .map(|l| l.worst_transfer_time(bytes))
-            .min()
-            .unwrap_or(Nanos::ZERO)
-    }
-
     /// Estimated finish times for graph `g` against the current board:
     /// exact windows where placed, *worst-case* execution estimates for
     /// unplaced tasks — conservative acceptance, so accepting a cluster
@@ -955,21 +970,15 @@ impl<'a> Allocator<'a> {
     /// type that cluster ends up on, it can do no worse than the slowest
     /// entry of its execution vector).
     fn estimate_graph_finishes(&self, g: GraphId) -> Vec<Nanos> {
-        let graph = self.spec.graph(g);
         let board = &self.arch.board;
+        let slowest = &self.bounds.slowest[g.index()];
+        let comm = &self.bounds.comm[g.index()];
         estimate_finish_times(
-            graph,
+            self.spec.graph(g),
             |t| board.window(Occupant::Task(GlobalTaskId::new(g, t))),
-            |t| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO),
+            |t| slowest[t.index()],
             |e| board.window(Occupant::Edge(GlobalEdgeId::new(g, e))),
-            |e| {
-                let edge = graph.edge(e);
-                if self.clustering.same_cluster(g, edge.from, edge.to) {
-                    Nanos::ZERO
-                } else {
-                    self.guaranteed_comm(edge.bytes)
-                }
-            },
+            |e| comm[e.index()],
         )
     }
 

@@ -8,13 +8,11 @@
 //! and recomputing priorities — this addresses the fact that the longest
 //! path changes as clustering proceeds.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use crusade_model::{
-    ExecutionTimes, GraphId, HwDemand, MemoryVector, Nanos, PeTypeId, Preference, Priority,
-    ResourceLibrary, SystemSpec, TaskGraph, TaskId,
+    EdgeId, GraphId, HwDemand, MemoryVector, Nanos, PeClass, PeTypeId, Priority, ResourceLibrary,
+    SystemSpec, TaskGraph, TaskId,
 };
 use crusade_sched::priority_levels;
 
@@ -126,14 +124,6 @@ impl Clustering {
     }
 }
 
-/// PE types on which `task` may execute.
-fn allowed_pes(lib: &ResourceLibrary, exec: &ExecutionTimes, pref: &Preference) -> Vec<PeTypeId> {
-    lib.pes()
-        .filter(|(id, _)| exec.on(*id).is_some() && pref.allows(*id))
-        .map(|(id, _)| id)
-        .collect()
-}
-
 /// Clusters every graph of `spec` (Section 5's clustering step).
 ///
 /// `cluster_size_cap` bounds cluster growth. Returns clusters sorted by
@@ -185,27 +175,118 @@ pub fn cluster_tasks(
     cluster_tasks_with(spec, lib, &options)
 }
 
-/// Whether a cluster with the given footprint fits a fresh instance of at
-/// least one of its allowed PE types, under the ERUF/EPUF caps — growth
-/// must never create a cluster no PE can host.
-fn fits_some_pe(
-    lib: &ResourceLibrary,
-    allowed: &[PeTypeId],
+/// A PE type's capacity as clustering checks it: a fresh instance's
+/// memory, or its area under the ERUF/EPUF caps, derated once per call.
+enum Capacity {
+    Cpu {
+        memory: u64,
+    },
+    Asic {
+        gates: u64,
+        pins: u32,
+    },
+    Ppe {
+        pfus: u32,
+        flip_flops: u32,
+        pins: u32,
+    },
+}
+
+impl Capacity {
+    fn of(class: &PeClass, options: &CosynOptions) -> Self {
+        match class {
+            PeClass::Cpu(attrs) => Capacity::Cpu {
+                memory: attrs.memory_bytes,
+            },
+            PeClass::Asic(attrs) => Capacity::Asic {
+                gates: attrs.gates,
+                pins: derate(attrs.pins, options.epuf),
+            },
+            PeClass::Ppe(attrs) => Capacity::Ppe {
+                pfus: derate(attrs.pfus, options.eruf),
+                flip_flops: attrs.flip_flops,
+                pins: derate(attrs.pins, options.epuf),
+            },
+        }
+    }
+
+    /// Whether a cluster with this footprint fits a fresh instance.
+    fn fits(&self, hw: HwDemand, memory: u64) -> bool {
+        match *self {
+            Capacity::Cpu { memory: cap } => memory <= cap,
+            Capacity::Asic { gates, pins } => hw.gates <= gates && hw.pins <= pins,
+            Capacity::Ppe {
+                pfus,
+                flip_flops,
+                pins,
+            } => hw.pfus <= pfus && hw.flip_flops <= flip_flops && hw.pins <= pins,
+        }
+    }
+}
+
+/// The cluster being grown, with the graph-wide bookkeeping its growth
+/// updates.
+struct Growth<'s> {
+    graph: &'s TaskGraph,
+    capacity: &'s [Capacity],
+    /// Index of the cluster being grown.
+    idx: usize,
+    members: Vec<TaskId>,
+    /// PE types every member can execute on, in library order.
+    allowed: Vec<PeTypeId>,
+    /// Running sums of the members' demands.
     hw: HwDemand,
-    memory: &MemoryVector,
-    options: &CosynOptions,
-) -> bool {
-    allowed.iter().any(|&ty| match lib.pe(ty).class() {
-        crusade_model::PeClass::Cpu(attrs) => memory.total() <= attrs.memory_bytes,
-        crusade_model::PeClass::Asic(attrs) => {
-            hw.gates <= attrs.gates && hw.pins <= derate(attrs.pins, options.epuf)
+    memory: MemoryVector,
+    cluster_of: &'s mut [Option<usize>],
+    /// `excluded_by[t] == idx`: some member of cluster `idx` excludes task
+    /// `t`. Only the cluster being grown is ever asked about, so the flags
+    /// of earlier clusters need no clearing.
+    excluded_by: &'s mut [usize],
+    /// Communication time per edge; absorbed edges are zeroed.
+    comm: &'s mut [Nanos],
+}
+
+impl Growth<'_> {
+    /// Whether `to` may join: it is unclustered, excludes no member and is
+    /// excluded by none, some allowed PE type runs it, and the grown
+    /// cluster still fits a fresh instance of such a type — growth must
+    /// never create a cluster no PE can host.
+    fn admits(&self, to: TaskId) -> bool {
+        if self.cluster_of[to.index()].is_some() || self.excluded_by[to.index()] == self.idx {
+            return false;
         }
-        crusade_model::PeClass::Ppe(attrs) => {
-            hw.pfus <= derate(attrs.pfus, options.eruf)
-                && hw.flip_flops <= attrs.flip_flops
-                && hw.pins <= derate(attrs.pins, options.epuf)
+        let task = self.graph.task(to);
+        if self.members.iter().any(|&m| task.exclusions.excludes(m)) {
+            return false;
         }
-    })
+        let hw = self.hw + task.hw;
+        let memory = (self.memory + task.memory).total();
+        self.allowed.iter().any(|&pe| {
+            task.exec.on(pe).is_some()
+                && task.preference.allows(pe)
+                && self.capacity[pe.index()].fits(hw, memory)
+        })
+    }
+
+    /// Adds `to` to the cluster; `via` is the edge it was reached over,
+    /// whose communication the cluster now absorbs.
+    fn absorb(&mut self, to: TaskId, via: Option<EdgeId>) {
+        let task = self.graph.task(to);
+        self.allowed
+            .retain(|&pe| task.exec.on(pe).is_some() && task.preference.allows(pe));
+        for peer in task.exclusions.iter() {
+            if let Some(flag) = self.excluded_by.get_mut(peer.index()) {
+                *flag = self.idx;
+            }
+        }
+        self.members.push(to);
+        self.hw = self.hw + task.hw;
+        self.memory = self.memory + task.memory;
+        self.cluster_of[to.index()] = Some(self.idx);
+        if let Some(eid) = via {
+            self.comm[eid.index()] = Nanos::ZERO;
+        }
+    }
 }
 
 /// [`cluster_tasks`] with explicit co-synthesis options (the ERUF/EPUF
@@ -222,12 +303,22 @@ pub fn cluster_tasks_with(
 ) -> Result<Clustering, SynthesisError> {
     let cluster_size_cap = options.cluster_size_cap;
     let avg_ports = spec.constraints().average_link_ports;
+    let capacity: Vec<Capacity> = lib
+        .pes()
+        .map(|(_, pe)| Capacity::of(pe.class(), options))
+        .collect();
     let mut clusters: Vec<Cluster> = Vec::new();
-    let mut assignment: Vec<Vec<ClusterId>> = Vec::new();
+    let mut assignment: Vec<Vec<ClusterId>> = Vec::with_capacity(spec.graph_count());
 
     for (gid, graph) in spec.graphs() {
         let n = graph.task_count();
+        let first_cluster = clusters.len();
+        let slowest: Vec<Nanos> = graph
+            .tasks()
+            .map(|(_, t)| t.exec.slowest().unwrap_or(Nanos::ZERO))
+            .collect();
         let mut cluster_of: Vec<Option<usize>> = vec![None; n];
+        let mut excluded_by: Vec<usize> = vec![usize::MAX; n];
         // Max communication time per edge over the link library; zeroed as
         // edges are absorbed into clusters.
         let mut comm: Vec<Nanos> = graph
@@ -243,11 +334,7 @@ pub fn cluster_tasks_with(
 
         let mut unclustered = n;
         while unclustered > 0 {
-            let prios = priority_levels(
-                graph,
-                |t| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO),
-                |e| comm[e.index()],
-            );
+            let prios = priority_levels(graph, |t| slowest[t.index()], |e| comm[e.index()]);
             // Highest-priority unclustered task seeds the cluster.
             let Some(seed) = (0..n)
                 .filter(|&t| cluster_of[t].is_none())
@@ -259,115 +346,62 @@ pub fn cluster_tasks_with(
                 )));
             };
 
-            let idx = clusters.len();
-            let mut members = vec![seed];
-            let mut allowed =
-                allowed_pes(lib, &graph.task(seed).exec, &graph.task(seed).preference);
-            let mut excluded: HashSet<TaskId> = graph.task(seed).exclusions.iter().collect();
-            cluster_of[seed.index()] = Some(idx);
-            unclustered -= 1;
+            // Absorbing the seed narrows `allowed` to the types it runs on.
+            let mut growth = Growth {
+                graph,
+                capacity: &capacity,
+                idx: clusters.len(),
+                members: Vec::new(),
+                allowed: lib.pes().map(|(id, _)| id).collect(),
+                hw: HwDemand::ZERO,
+                memory: MemoryVector::ZERO,
+                cluster_of: &mut cluster_of,
+                excluded_by: &mut excluded_by,
+                comm: &mut comm,
+            };
+            growth.absorb(seed, None);
 
             // Grow down the longest path.
             let mut cur = seed;
-            while members.len() < cluster_size_cap {
+            while growth.members.len() < cluster_size_cap {
                 let next = graph
                     .successors(cur)
-                    .filter(|(_, e)| cluster_of[e.to.index()].is_none())
-                    .filter(|(_, e)| !excluded.contains(&e.to))
-                    .filter(|(_, e)| {
-                        // The member must not exclude anyone already in.
-                        members
-                            .iter()
-                            .all(|&m| !graph.task(e.to).exclusions.excludes(m))
-                    })
-                    .filter(|(_, e)| {
-                        // PE-type intersection must stay non-empty, and the
-                        // grown cluster must still fit some allowed PE.
-                        let t = graph.task(e.to);
-                        let next_allowed: Vec<PeTypeId> = allowed
-                            .iter()
-                            .copied()
-                            .filter(|&pe| t.exec.on(pe).is_some() && t.preference.allows(pe))
-                            .collect();
-                        if next_allowed.is_empty() {
-                            return false;
-                        }
-                        let hw = members.iter().fold(t.hw, |acc, &m| acc + graph.task(m).hw);
-                        let memory = members
-                            .iter()
-                            .fold(t.memory, |acc, &m| acc + graph.task(m).memory);
-                        fits_some_pe(lib, &next_allowed, hw, &memory, options)
-                    })
+                    .filter(|(_, e)| growth.admits(e.to))
                     .max_by_key(|(_, e)| prios[e.to.index()]);
                 let Some((eid, edge)) = next else { break };
-                let to = edge.to;
-                let t = graph.task(to);
-                allowed.retain(|&pe| t.exec.on(pe).is_some() && t.preference.allows(pe));
-                excluded.extend(t.exclusions.iter());
-                members.push(to);
-                cluster_of[to.index()] = Some(idx);
-                unclustered -= 1;
-                comm[eid.index()] = Nanos::ZERO; // absorbed
-                cur = to;
+                growth.absorb(edge.to, Some(eid));
+                cur = edge.to;
             }
 
             // Absorb unclustered *leaf* successors of the members (with
             // capacity and compatibility permitting): assertion and
             // compare tasks, small monitors — they then execute beside
-            // their producer with zero communication.
+            // their producer with zero communication. A leaf reached over
+            // parallel edges joins once: `admits` refuses a task already
+            // clustered, as chain growth never revisits one.
             let mut k = 0;
-            while members.len() < cluster_size_cap && k < members.len() {
-                let m = members[k];
-                let leaves: Vec<(crusade_model::EdgeId, TaskId)> = graph
-                    .successors(m)
-                    .filter(|(_, e)| cluster_of[e.to.index()].is_none())
-                    .filter(|(_, e)| graph.successors(e.to).next().is_none())
-                    .map(|(eid, e)| (eid, e.to))
-                    .collect();
-                for (eid, to) in leaves {
-                    if members.len() >= cluster_size_cap {
+            while growth.members.len() < cluster_size_cap && k < growth.members.len() {
+                let m = growth.members[k];
+                for (eid, edge) in graph.successors(m) {
+                    if growth.members.len() >= cluster_size_cap {
                         break;
                     }
-                    if excluded.contains(&to) {
-                        continue;
+                    if graph.successors(edge.to).next().is_none() && growth.admits(edge.to) {
+                        growth.absorb(edge.to, Some(eid));
                     }
-                    let task = graph.task(to);
-                    if members.iter().any(|&mm| task.exclusions.excludes(mm)) {
-                        continue;
-                    }
-                    let still_allowed: Vec<_> = allowed
-                        .iter()
-                        .copied()
-                        .filter(|&pe| task.exec.on(pe).is_some() && task.preference.allows(pe))
-                        .collect();
-                    if still_allowed.is_empty() {
-                        continue;
-                    }
-                    let hw = members
-                        .iter()
-                        .fold(task.hw, |acc, &m| acc + graph.task(m).hw);
-                    let memory = members
-                        .iter()
-                        .fold(task.memory, |acc, &m| acc + graph.task(m).memory);
-                    if !fits_some_pe(lib, &still_allowed, hw, &memory, options) {
-                        continue;
-                    }
-                    allowed = still_allowed;
-                    excluded.extend(task.exclusions.iter());
-                    members.push(to);
-                    cluster_of[to.index()] = Some(idx);
-                    unclustered -= 1;
-                    comm[eid.index()] = Nanos::ZERO;
                 }
                 k += 1;
             }
 
-            let memory = members
-                .iter()
-                .fold(MemoryVector::ZERO, |acc, &t| acc + graph.task(t).memory);
-            let hw = members
-                .iter()
-                .fold(HwDemand::ZERO, |acc, &t| acc + graph.task(t).hw);
+            // Every member was unclustered until it joined.
+            unclustered -= growth.members.len();
+            let Growth {
+                members,
+                allowed,
+                hw,
+                memory,
+                ..
+            } = growth;
             clusters.push(Cluster {
                 graph: gid,
                 tasks: members,
@@ -380,12 +414,8 @@ pub fn cluster_tasks_with(
 
         // Final per-graph priorities with all intra-cluster edges zeroed
         // define cluster priorities (max over members and incoming edges).
-        let final_prios = priority_levels(
-            graph,
-            |t| graph.task(t).exec.slowest().unwrap_or(Nanos::ZERO),
-            |e| comm[e.index()],
-        );
-        for c in clusters.iter_mut().filter(|c| c.graph == gid) {
+        let final_prios = priority_levels(graph, |t| slowest[t.index()], |e| comm[e.index()]);
+        for c in &mut clusters[first_cluster..] {
             c.priority = c
                 .tasks
                 .iter()
@@ -406,16 +436,15 @@ pub fn cluster_tasks_with(
         assignment.push(per_graph);
     }
 
-    // Allocation order: decreasing priority. Remap assignment accordingly.
-    let mut order: Vec<usize> = (0..clusters.len()).collect();
-    order.sort_by(|&a, &b| clusters[b].priority.cmp(&clusters[a].priority));
-    let mut remap = vec![0usize; clusters.len()];
-    for (new, &old) in order.iter().enumerate() {
+    // Allocation order: decreasing priority (stable, so ties keep their
+    // formation order). Move the clusters into it and remap assignment.
+    let mut ordered: Vec<(usize, Cluster)> = clusters.into_iter().enumerate().collect();
+    ordered.sort_by_key(|(_, c)| std::cmp::Reverse(c.priority));
+    let mut remap = vec![0usize; ordered.len()];
+    let mut sorted = Vec::with_capacity(ordered.len());
+    for (new, (old, cluster)) in ordered.into_iter().enumerate() {
         remap[old] = new;
-    }
-    let mut sorted = Vec::with_capacity(clusters.len());
-    for &old in &order {
-        sorted.push(clusters[old].clone());
+        sorted.push(cluster);
     }
     for per_graph in &mut assignment {
         for c in per_graph.iter_mut() {
@@ -431,7 +460,9 @@ pub fn cluster_tasks_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crusade_model::{CpuAttrs, Dollars, PeClass, PeType, Task, TaskGraphBuilder};
+    use crusade_model::{
+        CpuAttrs, Dollars, ExecutionTimes, PeClass, PeType, Preference, Task, TaskGraphBuilder,
+    };
 
     fn lib() -> ResourceLibrary {
         let mut lib = ResourceLibrary::new();

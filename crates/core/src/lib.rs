@@ -40,6 +40,7 @@ mod error;
 mod journal;
 mod options;
 mod policy;
+mod preamble;
 mod reconfig;
 mod repair;
 mod report;
@@ -47,7 +48,7 @@ mod resyn;
 mod synthesis;
 mod upgrade;
 
-pub use alloc::{AllocTarget, AllocationDecision, Allocator};
+pub use alloc::{AllocBounds, AllocTarget, AllocationDecision, Allocator};
 pub use arch::{
     Architecture, LinkInstance, LinkInstanceId, Mode, ModeIndex, PeInstance, PeInstanceId,
 };
@@ -56,6 +57,7 @@ pub use cluster::{cluster_tasks, cluster_tasks_with, Cluster, ClusterId, Cluster
 pub use error::SynthesisError;
 pub use options::CosynOptions;
 pub use policy::{splitmix64, SynthesisPolicy};
+pub use preamble::{Preamble, PreambleKey};
 pub use reconfig::ReconfigReport;
 pub use repair::{repair, Damage, RepairError, RepairOptions, RepairOutcome};
 pub use report::{

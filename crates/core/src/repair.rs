@@ -24,7 +24,7 @@ use crusade_model::{Dollars, GlobalEdgeId, GlobalTaskId, PeClass, ResourceLibrar
 use crusade_obs::Event;
 use crusade_sched::Occupant;
 
-use crate::alloc::Allocator;
+use crate::alloc::{AllocBounds, Allocator};
 use crate::arch::{Architecture, LinkInstanceId, PeInstanceId};
 use crate::cluster::{ClusterId, Clustering};
 use crate::error::SynthesisError;
@@ -205,6 +205,7 @@ pub fn repair(
 ) -> Result<RepairOutcome, RepairError> {
     let clustering = &deployed.clustering;
     check_clustering(spec, clustering)?;
+    let bounds = AllocBounds::new(spec, lib, clustering);
     let mut arch = deployed.architecture.clone();
     let base_pe_slots = arch.pe_slots();
     let base_link_slots = arch.link_slots();
@@ -227,6 +228,7 @@ pub fn repair(
         lib,
         options,
         clustering,
+        &bounds,
         arch,
         &orphans,
         &mut retries_used,
@@ -237,6 +239,7 @@ pub fn repair(
         lib,
         options,
         clustering,
+        &bounds,
         &mut repaired,
         &mut retries_used,
         ropts.retry_budget,
@@ -305,12 +308,14 @@ pub(crate) type Placement = (Architecture, Vec<ClusterId>, Dollars, usize);
 
 /// On success returns the architecture, the clusters re-placed (in
 /// allocation order) and the incremental dollar cost of new parts.
+/// `bounds` are the [`AllocBounds`] of `spec` under `clustering`.
 #[allow(clippy::too_many_arguments)] // internal seam; callers are the two engines
 pub(crate) fn place_with_retry(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
     options: &CosynOptions,
     clustering: &Clustering,
+    bounds: &AllocBounds,
     snapshot: Architecture,
     orphans: &BTreeSet<ClusterId>,
     retries_used: &mut usize,
@@ -326,7 +331,7 @@ pub(crate) fn place_with_retry(
             evict_cluster(&mut attempt, clustering, spec, cid);
         }
         let to_place: Vec<ClusterId> = orphans.iter().chain(victims.iter()).copied().collect();
-        let mut allocator = Allocator::resume(spec, lib, options, clustering, attempt);
+        let mut allocator = Allocator::resume(spec, lib, options, clustering, bounds, attempt);
         let mut failure: Option<(ClusterId, SynthesisError)> = None;
         for &cid in &to_place {
             if let Err(e) = allocator.allocate(cid) {
@@ -380,6 +385,7 @@ pub(crate) fn ensure_interface_with_unmerge(
     lib: &ResourceLibrary,
     options: &CosynOptions,
     clustering: &Clustering,
+    bounds: &AllocBounds,
     arch: &mut Architecture,
     retries_used: &mut usize,
     retry_budget: usize,
@@ -397,7 +403,8 @@ pub(crate) fn ensure_interface_with_unmerge(
                 let displaced = unmerge_worst_device(arch, clustering, spec)
                     .ok_or(RepairError::InterfaceInfeasible)?;
                 let shell = std::mem::take(arch);
-                let mut allocator = Allocator::resume(spec, lib, options, clustering, shell);
+                let mut allocator =
+                    Allocator::resume(spec, lib, options, clustering, bounds, shell);
                 for cid in displaced {
                     allocator
                         .allocate(cid)

@@ -29,6 +29,7 @@
 //! rung fails.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crusade_model::{
@@ -37,6 +38,7 @@ use crusade_model::{
 use crusade_obs::Event;
 use crusade_sched::{check_deadlines, estimate_finish_times, Occupant};
 
+use crate::alloc::AllocBounds;
 use crate::arch::{Architecture, LinkInstanceId, PeInstanceId};
 use crate::cluster::{cluster_tasks_with, ClusterId};
 use crate::options::CosynOptions;
@@ -261,6 +263,7 @@ pub fn warm_resynthesize(
 
     let new_clustering = cluster_tasks_with(spec_after, lib, &options)
         .map_err(|e| WarmFailure::Repair(RepairError::Internal(e.to_string())))?;
+    let bounds = AllocBounds::new(spec_after, lib, &new_clustering);
     let mut arch = incumbent.architecture.clone();
 
     // The dirty region, in *old* graph ids: graphs whose residency the
@@ -385,6 +388,7 @@ pub fn warm_resynthesize(
         lib,
         &options,
         &new_clustering,
+        &bounds,
         arch,
         &pending,
         &mut retries_used,
@@ -395,6 +399,7 @@ pub fn warm_resynthesize(
         lib,
         &options,
         &new_clustering,
+        &bounds,
         &mut repaired,
         &mut retries_used,
         retry_budget,
@@ -410,7 +415,7 @@ pub fn warm_resynthesize(
     Ok(WarmOutcome {
         result: SynthesisResult {
             architecture: repaired,
-            clustering: new_clustering,
+            clustering: Arc::new(new_clustering),
             report,
         },
         moved_clusters: moved.len(),
@@ -480,6 +485,7 @@ pub fn widened_resynthesize(
 
     let new_clustering = cluster_tasks_with(spec_after, lib, &options)
         .map_err(|e| WarmFailure::Repair(RepairError::Internal(e.to_string())))?;
+    let bounds = AllocBounds::new(spec_after, lib, &new_clustering);
     let pending: BTreeSet<ClusterId> = new_clustering.clusters().map(|(id, _)| id).collect();
     let mut retries_used = 0usize;
     let (mut repaired, moved, added_cost, tried) = place_with_retry(
@@ -487,6 +493,7 @@ pub fn widened_resynthesize(
         lib,
         &options,
         &new_clustering,
+        &bounds,
         shell,
         &pending,
         &mut retries_used,
@@ -497,6 +504,7 @@ pub fn widened_resynthesize(
         lib,
         &options,
         &new_clustering,
+        &bounds,
         &mut repaired,
         &mut retries_used,
         retry_budget,
@@ -512,7 +520,7 @@ pub fn widened_resynthesize(
     Ok(WarmOutcome {
         result: SynthesisResult {
             architecture: repaired,
-            clustering: new_clustering,
+            clustering: Arc::new(new_clustering),
             report,
         },
         moved_clusters: moved.len(),

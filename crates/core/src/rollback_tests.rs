@@ -9,7 +9,7 @@ use crusade_obs::Metrics;
 use crusade_workloads::{paper_library, random_example};
 
 use super::Allocator;
-use crate::{cluster_tasks_with, CosynOptions};
+use crate::{CosynOptions, Preamble};
 
 #[path = "../tests/support/preemption_spec.rs"]
 mod preemption_spec;
@@ -20,8 +20,9 @@ mod preemption_spec;
 fn drive(spec: &SystemSpec, lib: &ResourceLibrary) -> (usize, u64) {
     let metrics = Arc::new(Metrics::new());
     let options = CosynOptions::default().with_observer(metrics.clone());
-    let clustering = cluster_tasks_with(spec, lib, &options).unwrap();
-    let mut allocator = Allocator::new(spec, lib, &options, &clustering);
+    let preamble = Preamble::new(spec, lib, &options).unwrap();
+    let clustering = preamble.clustering();
+    let mut allocator = Allocator::new(spec, lib, &options, clustering, preamble.bounds());
     allocator.journal.verified = Some(0);
     for (cid, _) in clustering.clusters() {
         if allocator.allocate(cid).is_err() {

@@ -7,6 +7,7 @@
 //! controller interface synthesis → final deadline verification.
 
 use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -18,9 +19,10 @@ use crusade_sched::{check_deadlines, estimate_finish_times, Occupant};
 
 use crate::alloc::Allocator;
 use crate::arch::Architecture;
-use crate::cluster::{cluster_tasks_with, Clustering};
+use crate::cluster::Clustering;
 use crate::error::SynthesisError;
 use crate::options::CosynOptions;
+use crate::preamble::Preamble;
 use crate::reconfig::{self, ReconfigReport};
 
 /// Summary figures of a finished synthesis — the columns of Tables 2
@@ -53,8 +55,9 @@ pub struct SynthesisResult {
     /// The synthesised architecture (PEs, links, modes, schedule,
     /// programming interface).
     pub architecture: Architecture,
-    /// The clustering the run used (needed to interpret mode membership).
-    pub clustering: Clustering,
+    /// The clustering the run used (needed to interpret mode membership),
+    /// shared with every run of the same [`Preamble`].
+    pub clustering: Arc<Clustering>,
     /// Summary figures.
     pub report: SynthesisReport,
 }
@@ -98,6 +101,7 @@ pub struct CoSynthesis<'a> {
     lib: &'a ResourceLibrary,
     options: CosynOptions,
     cancel: Option<&'a AtomicBool>,
+    preamble: Option<&'a Preamble<'a>>,
 }
 
 impl<'a> CoSynthesis<'a> {
@@ -109,6 +113,7 @@ impl<'a> CoSynthesis<'a> {
             lib,
             options: CosynOptions::default(),
             cancel: None,
+            preamble: None,
         }
     }
 
@@ -126,6 +131,15 @@ impl<'a> CoSynthesis<'a> {
         self
     }
 
+    /// Supplies a [`Preamble`] built earlier for the same specification,
+    /// library and [`crate::PreambleKey`], so the run skips validation,
+    /// clustering and the allocator's bounds. Without one, the run builds
+    /// its own.
+    pub fn with_prepared(mut self, preamble: &'a Preamble<'a>) -> Self {
+        self.preamble = Some(preamble);
+        self
+    }
+
     /// Executes the full co-synthesis flow.
     ///
     /// # Errors
@@ -138,10 +152,29 @@ impl<'a> CoSynthesis<'a> {
     ///   exist but no programming interface meets the boot-time
     ///   requirement;
     /// * [`SynthesisError::Cancelled`] — the [`with_cancel`](Self::with_cancel)
-    ///   flag was raised during allocation.
+    ///   flag was raised during allocation;
+    /// * [`SynthesisError::Internal`] — the [`with_prepared`](Self::with_prepared)
+    ///   preamble was built from other inputs.
     pub fn run(&self) -> Result<SynthesisResult, SynthesisError> {
         let t0 = Instant::now();
-        self.spec.validate()?;
+        // Pre-processing: validation, clustering (priority levels are
+        // computed inside) and the allocator's bounds — built here unless
+        // a preamble was supplied.
+        let built;
+        let preamble = match self.preamble {
+            Some(preamble) => preamble,
+            None => {
+                built = Preamble::new(self.spec, self.lib, &self.options)?;
+                &built
+            }
+        };
+        if !preamble.serves(self.spec, self.lib, &self.options) {
+            return Err(SynthesisError::Internal(format!(
+                "preamble built under {} handed to a run under {}, or of another spec or library",
+                preamble.key(),
+                crate::PreambleKey::of(&self.options)
+            )));
+        }
         // Resolve the policy's knob overrides into plain fields once; all
         // phases below read the effective options.
         let options = self.options.effective();
@@ -159,23 +192,22 @@ impl<'a> CoSynthesis<'a> {
             }
         }
 
-        // Pre-processing: clustering (priority levels are computed inside).
-        let clustering = {
+        let clustering: &Clustering = preamble.clustering();
+        {
             let _span = options.observer.span("clustering");
-            let clustering = cluster_tasks_with(self.spec, self.lib, &options)?;
             for (cid, cluster) in clustering.clusters() {
                 options.observer.emit(|| Event::ClusterFormed {
                     cluster: cid.index() as u64,
                     tasks: cluster.tasks.len() as u64,
                 });
             }
-            clustering
-        };
+        }
 
         // Synthesis: the outer allocation loop, in priority order under
         // the baseline policy, boundedly perturbed otherwise.
         let alloc_span = options.observer.span("allocation");
-        let mut allocator = Allocator::new(self.spec, self.lib, &options, &clustering);
+        let mut allocator =
+            Allocator::new(self.spec, self.lib, &options, clustering, preamble.bounds());
         if let Some(cancel) = self.cancel {
             allocator.set_cancel(cancel);
         }
@@ -191,7 +223,7 @@ impl<'a> CoSynthesis<'a> {
         // Dynamic reconfiguration generation.
         let recon = if options.reconfiguration {
             let _span = options.observer.span("reconfiguration");
-            reconfig::generate(self.spec, self.lib, &options, &clustering, &mut arch)
+            reconfig::generate(self.spec, self.lib, &options, clustering, &mut arch)
         } else {
             ReconfigReport::default()
         };
@@ -228,7 +260,7 @@ impl<'a> CoSynthesis<'a> {
         });
         let result = SynthesisResult {
             architecture: arch,
-            clustering,
+            clustering: Arc::clone(preamble.clustering()),
             report,
         };
 

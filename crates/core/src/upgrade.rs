@@ -14,7 +14,7 @@
 
 use crusade_model::{ResourceLibrary, SystemSpec};
 
-use crate::alloc::Allocator;
+use crate::alloc::{AllocBounds, Allocator};
 use crate::arch::Architecture;
 use crate::cluster::cluster_tasks_with;
 use crate::error::SynthesisError;
@@ -89,8 +89,9 @@ pub fn upgrade_in_field(
     let t0 = std::time::Instant::now();
     new_spec.validate()?;
     let clustering = cluster_tasks_with(new_spec, lib, options)?;
+    let bounds = AllocBounds::new(new_spec, lib, &clustering);
     let shell = hardware_shell(deployed);
-    let mut allocator = Allocator::for_upgrade(new_spec, lib, options, &clustering, shell);
+    let mut allocator = Allocator::for_upgrade(new_spec, lib, options, &clustering, &bounds, shell);
     let cluster_ids: Vec<_> = clustering.clusters().map(|(id, _)| id).collect();
     for cid in cluster_ids {
         allocator.allocate(cid)?;
@@ -133,7 +134,7 @@ pub fn upgrade_in_field(
     Ok(UpgradeResult {
         synthesis: SynthesisResult {
             architecture: arch,
-            clustering,
+            clustering: std::sync::Arc::new(clustering),
             report,
         },
         extra_modes,

@@ -8,13 +8,16 @@
 //! tie-break seeds, reconfiguration-aggressiveness knobs) concurrently and
 //! reduces to the cheapest deadline-feasible architecture.
 //!
-//! Each member is an independent [`CoSynthesis::run`] plus audit; members
-//! share nothing but the cancellation flag.
+//! Each member is an independent [`CoSynthesis::run`] plus audit. Members
+//! share the cancellation flag and, read-only, one [`Preamble`] per
+//! distinct [`PreambleKey`]: the clustering and allocator bounds that
+//! depend only on the spec, the library and three options.
 //!
 //! # Determinism
 //!
-//! Every policy is deterministic and members share no state, so every
-//! member runs to completion with the same result at any worker count,
+//! Every policy is deterministic, and the only state members share is a
+//! preamble that is a pure function of its key, so every member runs to
+//! completion with the same result at any worker count,
 //! and the reduction `min by (cost, policy-id)` over them is
 //! schedule-independent. The winner — architecture, cost and policy —
 //! the member reports and the allocation counters aggregated over all
@@ -42,12 +45,15 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use serde::Serialize;
 
-use crusade_core::{CoSynthesis, CosynOptions, SynthesisError, SynthesisPolicy, SynthesisResult};
+use crusade_core::{
+    CoSynthesis, CosynOptions, Preamble, PreambleKey, SynthesisError, SynthesisPolicy,
+    SynthesisResult,
+};
 use crusade_model::{Dollars, ResourceLibrary, SystemSpec};
 use crusade_obs::{Event, Fanout, Metrics, MetricsSnapshot, TraceSink};
 
@@ -294,15 +300,41 @@ pub fn explore_portfolio(
     let slots: Vec<Mutex<Option<MemberOutcome>>> =
         policies.iter().map(|_| Mutex::new(None)).collect();
     let workers = worker_count(config, policies.len());
+    let options: Vec<CosynOptions> = policies
+        .iter()
+        .map(|policy| config.base.clone().with_policy(policy.clone()))
+        .collect();
+    // One preamble per distinct key, built by the first worker that needs
+    // it and shared read-only with every member of that key.
+    let mut keys: Vec<PreambleKey> = Vec::new();
+    let key_of: Vec<usize> = options
+        .iter()
+        .map(|o| {
+            let key = PreambleKey::of(o);
+            keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                keys.push(key);
+                keys.len() - 1
+            })
+        })
+        .collect();
+    let preambles: Vec<OnceLock<Result<Preamble<'_>, SynthesisError>>> =
+        keys.iter().map(|_| OnceLock::new()).collect();
 
     thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(policy) = policies.get(i) else {
+                let Some(options) = options.get(i) else {
                     break;
                 };
-                let outcome = run_member(spec, lib, config, policy, cancel, &best_clean);
+                let preamble =
+                    preambles[key_of[i]].get_or_init(|| Preamble::new(spec, lib, options));
+                let outcome = match preamble {
+                    Ok(preamble) => {
+                        run_member(spec, lib, config, options, preamble, cancel, &best_clean)
+                    }
+                    Err(e) => MemberOutcome::Failed(e.to_string()),
+                };
                 if let Ok(mut slot) = slots[i].lock() {
                     *slot = Some(outcome);
                 }
@@ -403,20 +435,21 @@ enum MemberOutcome {
     Failed(String),
 }
 
-/// Runs one portfolio member end to end: synthesis, then the independent
-/// audit.
+/// Runs one portfolio member end to end on its shared preamble:
+/// synthesis, then the independent audit.
 fn run_member(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
     config: &ExploreConfig,
-    policy: &SynthesisPolicy,
+    options: &CosynOptions,
+    preamble: &Preamble<'_>,
     cancel: &AtomicBool,
     best_clean: &AtomicU64,
 ) -> MemberOutcome {
-    let options = config.base.clone().with_policy(policy.clone());
     match CoSynthesis::new(spec, lib)
         .with_options(options.clone())
         .with_cancel(cancel)
+        .with_prepared(preamble)
         .run()
     {
         Ok(result) => {
@@ -425,7 +458,7 @@ fn run_member(
                 let cost = result.report.cost.amount();
                 if best_clean.fetch_min(cost, Ordering::Relaxed) > cost {
                     config.base.observer.emit(|| Event::IncumbentUpdate {
-                        policy: u64::from(policy.id),
+                        policy: u64::from(options.policy.id),
                         cost,
                     });
                 }

@@ -6,7 +6,7 @@
 //! attached (arbitration gets slower as more PEs share the medium), the
 //! packet payload size, and the per-packet transmission time.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{Dollars, Nanos};
 
@@ -43,7 +43,7 @@ pub enum LinkClass {
 /// let t = bus.transfer_time(100, 3);
 /// assert_eq!(t, Nanos::from_nanos(600) + Nanos::from_micros(2) * 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct LinkType {
     name: String,
     cost: Dollars,
@@ -150,6 +150,37 @@ impl LinkType {
     }
 }
 
+/// Deserializes through the checks [`LinkType::new`] asserts, so a library
+/// read from a file or a frame cannot hold a link type that would panic
+/// later (no access time, empty packets) or be attached to more PEs than
+/// it has ports.
+impl Deserialize for LinkType {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let ty = "LinkType";
+        let link = LinkType {
+            name: serde::field(v, ty, "name")?,
+            cost: serde::field(v, ty, "cost")?,
+            class: serde::field(v, ty, "class")?,
+            max_ports: serde::field(v, ty, "max_ports")?,
+            access_times: serde::field(v, ty, "access_times")?,
+            bytes_per_packet: serde::field(v, ty, "bytes_per_packet")?,
+            packet_tx_time: serde::field(v, ty, "packet_tx_time")?,
+        };
+        let refuse =
+            |field: &str, why: &str| Err(DeError::custom(format!("field `{ty}.{field}`: {why}")));
+        if link.access_times.is_empty() {
+            return refuse("access_times", "access-time vector must be non-empty");
+        }
+        if link.bytes_per_packet == 0 {
+            return refuse("bytes_per_packet", "packets must carry at least one byte");
+        }
+        if link.max_ports < 2 {
+            return refuse("max_ports", "a link must support at least two ports");
+        }
+        Ok(link)
+    }
+}
+
 /// The per-edge communication vector: transfer time of one edge on every
 /// link type of the library, computed for a given (average or actual) port
 /// count.
@@ -206,6 +237,36 @@ impl CommVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialization_refuses_what_new_asserts() {
+        let valid = lan().serialize_value();
+        assert_eq!(LinkType::deserialize_value(&valid), Ok(lan()));
+        for (field, bad, named) in [
+            (
+                "access_times",
+                Value::Seq(Vec::new()),
+                "LinkType.access_times",
+            ),
+            (
+                "bytes_per_packet",
+                Value::U64(0),
+                "LinkType.bytes_per_packet",
+            ),
+            ("max_ports", Value::U64(1), "LinkType.max_ports"),
+        ] {
+            let Value::Map(mut entries) = valid.clone() else {
+                panic!("a link type serializes as a map");
+            };
+            for (k, v) in &mut entries {
+                if k == field {
+                    *v = bad.clone();
+                }
+            }
+            let err = LinkType::deserialize_value(&Value::Map(entries)).unwrap_err();
+            assert!(err.to_string().contains(named), "{field}: {err}");
+        }
+    }
 
     fn lan() -> LinkType {
         LinkType::new(

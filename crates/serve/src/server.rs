@@ -19,7 +19,7 @@
 //! are byte-for-byte the CLI's answers: serving adds queueing, caching
 //! and transport — never a different architecture.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,6 +130,13 @@ impl JobState {
     }
 }
 
+/// Terminal jobs the table keeps, evicting the oldest first. Only a job
+/// every registered reader has read is ever evicted, so a status query
+/// for an evicted id answers `UnknownJob` but no waiting connection loses
+/// its result. The perf ledger's serve-mix round runs 384 jobs on a fresh
+/// daemon, well below this.
+const RETAINED_TERMINAL_JOBS: usize = 1024;
+
 struct Job {
     client: String,
     /// The job's inputs, until a worker claims them or the job ends in
@@ -142,6 +149,10 @@ struct Job {
     done_tx: Option<mpsc::Sender<JobEvent>>,
     enqueued_at: Instant,
     queue_ms: f64,
+    /// Connections that will read this job's terminal state and have not
+    /// yet: the submitting one plus coalesced duplicates. The job is not
+    /// evicted while any remain.
+    readers: usize,
 }
 
 /// The cache key: the synthesis inputs themselves. Synthesis is a
@@ -191,6 +202,11 @@ struct Inner {
     /// Queued plus running jobs per client with any: admission reads
     /// it instead of scanning the job table.
     in_flight: HashMap<String, usize>,
+    /// Terminal jobs no reader is still waiting on, oldest id first: the
+    /// eviction candidates.
+    retired: BTreeSet<u64>,
+    /// Terminal jobs in `jobs`, retired or not.
+    terminal_jobs: usize,
     counters: Counters,
     next_job: u64,
     running: usize,
@@ -506,6 +522,7 @@ fn enqueue(
             done_tx: Some(tx),
             enqueued_at: Instant::now(),
             queue_ms: 0.0,
+            readers: 1,
         },
     );
     inner.queue.push_back(id);
@@ -549,6 +566,9 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
             }
             Some(Err(producer)) => {
                 inner.counters.coalesced += 1;
+                if let Some(job) = inner.jobs.get_mut(&producer) {
+                    job.readers += 1;
+                }
                 Admission::Coalesced(producer)
             }
             None => match admit(&inner, state, client) {
@@ -589,8 +609,8 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
                 write_response(stream, &Response::new(ResponseBody::Event(event)));
             }
             let response = {
-                let inner = state.lock();
-                match inner.jobs.get(&id).map(|j| &j.state) {
+                let mut inner = state.lock();
+                let response = match inner.jobs.get(&id).map(|j| &j.state) {
                     Some(JobState::Done(result)) => {
                         Response::new(ResponseBody::Result(*result.clone()))
                     }
@@ -603,7 +623,9 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
                         ProtocolErrorKind::Internal,
                         format!("job {id} signalled completion without a terminal state"),
                     ),
-                }
+                };
+                release_reader(&mut inner, id);
+                response
             };
             write_response(stream, &response);
         }
@@ -611,28 +633,28 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
 }
 
 /// Blocks until the producer job of a coalesced duplicate reaches a
-/// terminal state, then mirrors its result (flagged `coalesced`).
+/// terminal state, then mirrors its result (flagged `coalesced`) and
+/// releases the reader slot admission registered for this waiter.
 fn wait_for_producer(state: &Arc<State>, producer: u64) -> Response {
     let mut inner = state.lock();
     loop {
-        match inner.jobs.get(&producer).map(|j| &j.state) {
+        let response = match inner.jobs.get(&producer).map(|j| &j.state) {
             Some(JobState::Done(result)) => {
                 let mut result = *result.clone();
                 result.coalesced = true;
-                return Response::new(ResponseBody::Result(result));
+                Response::new(ResponseBody::Result(result))
             }
-            Some(JobState::Cancelled) => {
-                return Response::error(
-                    ProtocolErrorKind::Cancelled,
-                    format!("coalesced onto job {producer}, which was cancelled"),
-                )
-            }
-            Some(JobState::Failed(e)) => return Response::new(ResponseBody::Error(e.clone())),
+            Some(JobState::Cancelled) => Response::error(
+                ProtocolErrorKind::Cancelled,
+                format!("coalesced onto job {producer}, which was cancelled"),
+            ),
+            Some(JobState::Failed(e)) => Response::new(ResponseBody::Error(e.clone())),
             Some(_) => {
                 inner = match state.jobs_cv.wait(inner) {
                     Ok(guard) => guard,
                     Err(poisoned) => poisoned.into_inner(),
                 };
+                continue;
             }
             None => {
                 return Response::error(
@@ -640,7 +662,9 @@ fn wait_for_producer(state: &Arc<State>, producer: u64) -> Response {
                     format!("coalesced producer job {producer} vanished"),
                 )
             }
-        }
+        };
+        release_reader(&mut inner, producer);
+        return response;
     }
 }
 
@@ -721,8 +745,8 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
     // Block until the worker finishes the ladder (the sender drops at
     // the terminal transition).
     for _ in rx.iter() {}
-    let inner = state.lock();
-    match inner.jobs.get(&id).map(|j| &j.state) {
+    let mut inner = state.lock();
+    let response = match inner.jobs.get(&id).map(|j| &j.state) {
         Some(JobState::DoneResyn(result)) => Response::new(ResponseBody::Resyn(*result.clone())),
         Some(JobState::Cancelled) => {
             Response::error(ProtocolErrorKind::Cancelled, format!("job {id} cancelled"))
@@ -732,7 +756,9 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
             ProtocolErrorKind::Internal,
             format!("resyn job {id} signalled completion without a terminal state"),
         ),
-    }
+    };
+    release_reader(&mut inner, id);
+    response
 }
 
 fn handle_stats(state: &Arc<State>) -> Response {
@@ -801,6 +827,7 @@ fn finish_job(state: &State, inner: &mut Inner, id: u64, terminal: JobState) {
     job.state = terminal;
     job.done_tx = None;
     let work = job.work.take();
+    let unread = job.readers > 0;
     if let Some(n) = inner.in_flight.get_mut(&job.client) {
         *n -= 1;
         if *n == 0 {
@@ -812,7 +839,36 @@ fn finish_job(state: &State, inner: &mut Inner, id: u64, terminal: JobState) {
     if let Some(JobKind::Submit { key, .. }) = work {
         release_pending(inner, &key, id);
     }
+    inner.terminal_jobs += 1;
+    if !unread {
+        retire(inner, id);
+    }
     state.jobs_cv.notify_all();
+}
+
+/// Records that one registered reader of job `id` has read it; the last
+/// reader of a terminal job makes it evictable.
+fn release_reader(inner: &mut Inner, id: u64) {
+    let Some(job) = inner.jobs.get_mut(&id) else {
+        return;
+    };
+    job.readers = job.readers.saturating_sub(1);
+    if job.readers == 0 && job.state.terminal() {
+        retire(inner, id);
+    }
+}
+
+/// Marks terminal job `id` evictable, then evicts the oldest evictable
+/// jobs while more than [`RETAINED_TERMINAL_JOBS`] terminal jobs remain.
+fn retire(inner: &mut Inner, id: u64) {
+    inner.retired.insert(id);
+    while inner.terminal_jobs > RETAINED_TERMINAL_JOBS {
+        let Some(oldest) = inner.retired.pop_first() else {
+            break;
+        };
+        inner.jobs.remove(&oldest);
+        inner.terminal_jobs -= 1;
+    }
 }
 
 /// Frees `key`'s pending slot if job `id` still produces it: a submit
@@ -1152,6 +1208,85 @@ mod tests {
         );
         assert!(inner.cache.is_empty(), "the pending slot outlived its job");
         assert_eq!(Arc::strong_count(&key.payload), 1);
+    }
+
+    #[test]
+    fn terminal_jobs_are_evicted_oldest_first_once_read() {
+        let state = Arc::new(idle_state(usize::MAX));
+        let key = CacheKey {
+            payload: Arc::new(payload()),
+            portfolio: 1,
+            reconfiguration: true,
+        };
+        let extra = 5;
+        let mut inner = state.lock();
+        let ids: Vec<u64> = (0..RETAINED_TERMINAL_JOBS + extra)
+            .map(|_| {
+                let work = JobKind::Resyn {
+                    key: key.clone(),
+                    deltas: Vec::new(),
+                };
+                enqueue(&state, &mut inner, "a", work).0
+            })
+            .collect();
+        inner.queue.clear();
+        for &id in &ids {
+            let result = JobResult {
+                job: id,
+                fingerprint: String::new(),
+                cached: false,
+                coalesced: false,
+                cost: id,
+                policy: 0,
+                pes: 1,
+                links: 0,
+                multi_mode_devices: 0,
+                audit_clean: true,
+                queue_ms: 0.0,
+                run_ms: 0.0,
+            };
+            finish_job(&state, &mut inner, id, JobState::Done(Box::new(result)));
+        }
+        // Nobody has read a result yet: nothing may go.
+        assert_eq!(inner.jobs.len(), ids.len());
+        // Every submitter but the oldest's reads its result.
+        for &id in &ids[1..] {
+            release_reader(&mut inner, id);
+        }
+        assert_eq!(inner.jobs.len(), RETAINED_TERMINAL_JOBS);
+        assert!(
+            inner.jobs.contains_key(&ids[0]),
+            "an unread job was evicted"
+        );
+        drop(inner);
+        // Job 0 is pinned, so jobs 1..=extra went.
+        for &gone in &ids[1..=extra] {
+            for reply in [handle_status(&state, gone), handle_cancel(&state, gone)] {
+                assert!(
+                    matches!(&reply.body, ResponseBody::Error(e) if e.kind == ProtocolErrorKind::UnknownJob),
+                    "job {gone}: {reply:?}"
+                );
+            }
+        }
+        for &kept in &ids[extra + 1..] {
+            let reply = handle_status(&state, kept);
+            assert!(
+                matches!(&reply.body, ResponseBody::Status(s) if s.result.as_ref().map(|r| r.cost) == Some(kept)),
+                "job {kept}: {reply:?}"
+            );
+        }
+        // Once its submitter has read it, the oldest is the first to go.
+        let mut inner = state.lock();
+        release_reader(&mut inner, ids[0]);
+        let work = JobKind::Resyn {
+            key: key.clone(),
+            deltas: Vec::new(),
+        };
+        let (next, _rx) = enqueue(&state, &mut inner, "a", work);
+        finish_job(&state, &mut inner, next, JobState::Cancelled);
+        release_reader(&mut inner, next);
+        assert_eq!(inner.jobs.len(), RETAINED_TERMINAL_JOBS);
+        assert!(!inner.jobs.contains_key(&ids[0]) && inner.jobs.contains_key(&next));
     }
 
     #[test]

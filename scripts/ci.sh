@@ -13,6 +13,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> cargo build perfbench (the perf ledger builds against the public API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
     cargo clippy --workspace --all-targets --quiet -- -D warnings

@@ -89,6 +89,54 @@ fn audit_unreadable_path_exits_two() {
     );
 }
 
+/// `crusade sample`'s spec with one link-type field made invalid: each
+/// edit is a library `LinkType::new` would refuse.
+fn malformed_link_specs(text: &str) -> Vec<(&'static str, &'static str, String)> {
+    let start = text
+        .find("\"access_times\": [")
+        .expect("sample has access times");
+    let end = start + text[start..].find(']').expect("access times close") + 1;
+    vec![
+        (
+            "empty-access",
+            "access_times",
+            format!("{}\"access_times\": []{}", &text[..start], &text[end..]),
+        ),
+        (
+            "zero-packet",
+            "bytes_per_packet",
+            text.replacen("\"bytes_per_packet\": 64", "\"bytes_per_packet\": 0", 1),
+        ),
+        (
+            "zero-ports",
+            "max_ports",
+            text.replacen("\"max_ports\": 8", "\"max_ports\": 0", 1),
+        ),
+    ]
+}
+
+#[test]
+fn malformed_link_types_exit_two_like_unreadable_specs() {
+    let dir = temp_dir("bad-link");
+    let path = sample_spec(&dir);
+    let text = std::fs::read_to_string(&path).expect("reading sample spec");
+    for (name, field, edited) in malformed_link_specs(&text) {
+        assert_ne!(edited, text, "{name}: the edit must change the spec");
+        let bad = dir.join(format!("{name}.json"));
+        std::fs::write(&bad, edited).expect("writing edited spec");
+        for command in ["synth", "lint"] {
+            let out = crusade(&[command, bad.to_str().expect("utf-8 temp path")]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 2, "{command} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{command} {name}: {stderr}");
+            assert!(
+                stderr.contains("error:") && stderr.contains(&format!("LinkType.{field}")),
+                "{command} {name}: the parse error must name the field: {stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn lint_proved_infeasibility_exits_two() {
     // A task that runs on no PE type in the library is a proved

@@ -11,7 +11,9 @@ use std::sync::{Arc, Mutex};
 
 use crusade::model::{GraphId, Nanos, ResourceLibrary, SpecDelta};
 use crusade::serve::{
-    ClientError, JobResult, ProtocolErrorKind, ServeClient, ServeConfig, ServerHandle, SpecPayload,
+    decode_response, encode_frame, ClientError, JobResult, ProtocolErrorKind, Request, RequestBody,
+    ResponseBody, ServeClient, ServeConfig, ServerHandle, SpecPayload, SubmitRequest,
+    PROTOCOL_VERSION,
 };
 use crusade::workloads::motivating_example;
 
@@ -314,9 +316,12 @@ fn panicking_job_fails_without_killing_its_worker() {
     assert_eq!(out.status.code(), Some(0), "sample generation failed");
     let text = std::fs::read_to_string(&spec).unwrap();
     let valid: SpecPayload = serde_json::from_str(&text).unwrap();
-    let start = text.find("\"access_times\": [").unwrap();
+    // A topological order naming a task the graph does not have parses
+    // (the derived adjacency is trusted on load) and panics inside the
+    // job.
+    let start = text.find("\"topo\": [").unwrap();
     let end = start + text[start..].find(']').unwrap() + 1;
-    let hostile = format!("{}\"access_times\": []{}", &text[..start], &text[end..]);
+    let hostile = format!("{}\"topo\": [7, 0, 1]{}", &text[..start], &text[end..]);
     let hostile: SpecPayload = serde_json::from_str(&hostile).unwrap();
 
     let (server, addr) = bind(ServeConfig {
@@ -339,6 +344,68 @@ fn panicking_job_fails_without_killing_its_worker() {
         0,
         "nothing left to drain"
     );
+    server.wait().unwrap();
+}
+
+#[test]
+fn malformed_link_types_get_a_typed_error_frame() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (server, addr) = bind(ServeConfig::default());
+    let request = Request {
+        v: PROTOCOL_VERSION,
+        client: "e2e-link".into(),
+        body: RequestBody::Submit(SubmitRequest {
+            payload: sample_payload(),
+            portfolio: 1,
+            reconfiguration: true,
+            stream: false,
+        }),
+    };
+    let frame = encode_frame(&request).unwrap();
+    let start = frame.find("\"access_times\":[").unwrap();
+    let end = start + frame[start..].find(']').unwrap() + 1;
+    let field = |name: &str| {
+        let at = frame.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+        let len = frame[at..].find([',', '}']).unwrap();
+        (at, at + len)
+    };
+    let (packet_at, packet_end) = field("bytes_per_packet");
+    let (ports_at, ports_end) = field("max_ports");
+    for (name, hostile) in [
+        (
+            "access_times",
+            format!("{}\"access_times\":[]{}", &frame[..start], &frame[end..]),
+        ),
+        (
+            "bytes_per_packet",
+            format!("{}0{}", &frame[..packet_at], &frame[packet_end..]),
+        ),
+        (
+            "max_ports",
+            format!("{}0{}", &frame[..ports_at], &frame[ports_end..]),
+        ),
+    ] {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream.write_all(hostile.as_bytes()).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        match decode_response(reply.trim_end()).unwrap().body {
+            ResponseBody::Error(e) => {
+                assert_eq!(e.kind, ProtocolErrorKind::MalformedFrame, "{name}: {e}");
+                assert!(
+                    e.detail.contains(&format!("LinkType.{name}")),
+                    "{name}: {e}"
+                );
+            }
+            other => panic!("{name}: expected an error frame, got {other:?}"),
+        }
+    }
+    // The daemon stays up and ran nothing.
+    let client = ServeClient::new(addr, "e2e-link");
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.submitted, stats.failed), (0, 0));
+    client.shutdown().unwrap();
     server.wait().unwrap();
 }
 
