@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use serde::{Serialize, Value};
+use serde::{Emitter, Serialize};
 
 use crusade_model::{Dollars, EdgeId, GraphId, Nanos, PeTypeId, TaskId};
 
@@ -39,8 +39,8 @@ impl fmt::Display for Severity {
 }
 
 impl Serialize for Severity {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn emit<E: Emitter>(&self, e: &mut E) {
+        e.str(&self.to_string());
     }
 }
 
@@ -215,92 +215,103 @@ impl Lint {
 }
 
 impl Serialize for Lint {
-    fn serialize_value(&self) -> Value {
-        fn f(name: &str, v: &impl Serialize) -> (String, Value) {
-            (name.to_string(), v.serialize_value())
+    fn emit<E: Emitter>(&self, e: &mut E) {
+        fn f<E: Emitter, T: Serialize + ?Sized>(e: &mut E, name: &str, v: &T) {
+            e.map_key(name);
+            v.emit(e);
         }
-        let mut entries = vec![f("kind", &self.kind()), f("severity", &self.severity())];
+        e.map_begin();
+        f(e, "kind", self.kind());
+        f(e, "severity", &self.severity());
         match self {
-            Lint::InvalidSpec { message } => entries.extend([f("detail", message)]),
+            Lint::InvalidSpec { message } => {
+                f(e, "detail", message);
+            }
             Lint::CriticalPathExceedsDeadline {
                 graph,
                 task,
                 best_finish,
                 deadline,
-            } => entries.extend([
-                f("graph", graph),
-                f("task", task),
-                f("best_finish", best_finish),
-                f("deadline", deadline),
-            ]),
+            } => {
+                f(e, "graph", graph);
+                f(e, "task", task);
+                f(e, "best_finish", best_finish);
+                f(e, "deadline", deadline);
+            }
             Lint::TaskExceedsPeriod {
                 graph,
                 task,
                 best,
                 period,
-            } => entries.extend([
-                f("graph", graph),
-                f("task", task),
-                f("best", best),
-                f("period", period),
-            ]),
+            } => {
+                f(e, "graph", graph);
+                f(e, "task", task);
+                f(e, "best", best);
+                f(e, "period", period);
+            }
             Lint::NoFeasiblePe { graph, task, name } => {
-                entries.extend([f("graph", graph), f("task", task), f("name", name)]);
+                f(e, "graph", graph);
+                f(e, "task", task);
+                f(e, "name", name);
             }
             Lint::SelfExclusion { graph, task } => {
-                entries.extend([f("graph", graph), f("task", task)]);
+                f(e, "graph", graph);
+                f(e, "task", task);
             }
             Lint::EdgeUnroutable { graph, edge } | Lint::ExcludedAdjacent { graph, edge } => {
-                entries.extend([f("graph", graph), f("edge", edge)]);
+                f(e, "graph", graph);
+                f(e, "edge", edge);
             }
             Lint::EdgeInfeasible {
                 graph,
                 edge,
                 best,
                 period,
-            } => entries.extend([
-                f("graph", graph),
-                f("edge", edge),
-                f("best", best),
-                f("period", period),
-            ]),
+            } => {
+                f(e, "graph", graph);
+                f(e, "edge", edge);
+                f(e, "best", best);
+                f(e, "period", period);
+            }
             Lint::ExclusionClique {
                 graph,
                 pe_type,
                 tasks,
                 needed,
-            } => entries.extend([
-                f("graph", graph),
-                f("pe_type", pe_type),
-                f("tasks", tasks),
-                f("needed", needed),
-            ]),
+            } => {
+                f(e, "graph", graph);
+                f(e, "pe_type", pe_type);
+                f(e, "tasks", tasks);
+                f(e, "needed", needed);
+            }
             Lint::DeadCompatibility {
                 a,
                 b,
                 task_a,
                 task_b,
-            } => entries.extend([
-                f("a", a),
-                f("b", b),
-                f("task_a", task_a),
-                f("task_b", task_b),
-            ]),
+            } => {
+                f(e, "a", a);
+                f(e, "b", b);
+                f(e, "task_a", task_a);
+                f(e, "task_b", task_b);
+            }
             Lint::ClassLowerBound {
                 class,
                 min_instances,
                 ffd_instances,
                 cost_floor,
-            } => entries.extend([
-                f("class", class),
-                f("min_instances", min_instances),
-                f("ffd_instances", ffd_instances),
-                f("cost_floor", cost_floor),
-            ]),
-            Lint::CostLowerBound { total } => entries.extend([f("total", total)]),
+            } => {
+                f(e, "class", class);
+                f(e, "min_instances", min_instances);
+                f(e, "ffd_instances", ffd_instances);
+                f(e, "cost_floor", cost_floor);
+            }
+            Lint::CostLowerBound { total } => {
+                f(e, "total", total);
+            }
         }
-        entries.push(f("message", &self.to_string()));
-        Value::Map(entries)
+        f(e, "message", &self.to_string());
+        e.map_end();
     }
 }
 
@@ -402,8 +413,8 @@ pub struct LintReport {
 }
 
 impl Serialize for LintReport {
-    fn serialize_value(&self) -> Value {
-        self.lints.serialize_value()
+    fn emit<E: Emitter>(&self, e: &mut E) {
+        self.lints.emit(e);
     }
 }
 

@@ -6,7 +6,7 @@
 //! attached (arbitration gets slower as more PEs share the medium), the
 //! packet payload size, and the per-packet transmission time.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize};
 
 use crate::{Dollars, Nanos};
 
@@ -155,19 +155,43 @@ impl LinkType {
 /// later (no access time, empty packets) or be attached to more PEs than
 /// it has ports.
 impl Deserialize for LinkType {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let ty = "LinkType";
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        const TY: &str = "LinkType";
+        const FIELDS: [&str; 7] = [
+            "name",
+            "cost",
+            "class",
+            "max_ports",
+            "access_times",
+            "bytes_per_packet",
+            "packet_tx_time",
+        ];
+        let (mut name, mut cost, mut class, mut max_ports) = (None, None, None, None);
+        let (mut access_times, mut bytes_per_packet, mut packet_tx_time) = (None, None, None);
+        let mut pending = r.read_struct(TY, &FIELDS, |r, i| {
+            match i {
+                0 if name.is_none() => name = Some(String::read(r)?),
+                1 if cost.is_none() => cost = Some(Dollars::read(r)?),
+                2 if class.is_none() => class = Some(LinkClass::read(r)?),
+                3 if max_ports.is_none() => max_ports = Some(u32::read(r)?),
+                4 if access_times.is_none() => access_times = Some(Vec::read(r)?),
+                5 if bytes_per_packet.is_none() => bytes_per_packet = Some(u32::read(r)?),
+                6 if packet_tx_time.is_none() => packet_tx_time = Some(Nanos::read(r)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
         let link = LinkType {
-            name: serde::field(v, ty, "name")?,
-            cost: serde::field(v, ty, "cost")?,
-            class: serde::field(v, ty, "class")?,
-            max_ports: serde::field(v, ty, "max_ports")?,
-            access_times: serde::field(v, ty, "access_times")?,
-            bytes_per_packet: serde::field(v, ty, "bytes_per_packet")?,
-            packet_tx_time: serde::field(v, ty, "packet_tx_time")?,
+            name: serde::take_field(name, 0, &mut pending, TY, FIELDS[0])?,
+            cost: serde::take_field(cost, 1, &mut pending, TY, FIELDS[1])?,
+            class: serde::take_field(class, 2, &mut pending, TY, FIELDS[2])?,
+            max_ports: serde::take_field(max_ports, 3, &mut pending, TY, FIELDS[3])?,
+            access_times: serde::take_field(access_times, 4, &mut pending, TY, FIELDS[4])?,
+            bytes_per_packet: serde::take_field(bytes_per_packet, 5, &mut pending, TY, FIELDS[5])?,
+            packet_tx_time: serde::take_field(packet_tx_time, 6, &mut pending, TY, FIELDS[6])?,
         };
         let refuse =
-            |field: &str, why: &str| Err(DeError::custom(format!("field `{ty}.{field}`: {why}")));
+            |field: &str, why: &str| Err(DeError::custom(format!("field `{TY}.{field}`: {why}")));
         if link.access_times.is_empty() {
             return refuse("access_times", "access-time vector must be non-empty");
         }
@@ -237,6 +261,7 @@ impl CommVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn deserialization_refuses_what_new_asserts() {

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Emitter, Reader, Serialize};
 
 pub mod metrics;
 pub mod trace;
@@ -471,15 +471,16 @@ impl PartialEq for ObserverHandle {
 
 /// Serializes as `null`: observers are runtime attachments, not data.
 impl Serialize for ObserverHandle {
-    fn serialize_value(&self) -> Value {
-        Value::Null
+    fn emit<E: Emitter>(&self, e: &mut E) {
+        e.null();
     }
 }
 
 /// Deserializes any value to the disabled handle (persisted artifacts
 /// never carry an observer).
 impl Deserialize for ObserverHandle {
-    fn deserialize_value(_v: &Value) -> Result<Self, DeError> {
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        r.skip()?;
         Ok(ObserverHandle::none())
     }
 }
@@ -505,6 +506,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use std::sync::Mutex;
 
     struct Recorder(Mutex<Vec<Event>>);

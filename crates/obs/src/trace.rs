@@ -75,9 +75,9 @@ impl SynthesisObserver for TraceSink {
         };
         match serde_json::to_string(&record) {
             Ok(line) => lines.push(line),
-            // The vendored encoder is total over the Value tree; a
-            // failure would be a bug, but a trace sink must never abort
-            // the synthesis it observes.
+            // The vendored printer fails only on a non-finite float;
+            // that would be a bug here, but a trace sink must never
+            // abort the synthesis it observes.
             Err(e) => lines.push(format!("{{\"seq\":{seq},\"error\":\"{e}\"}}")),
         }
     }

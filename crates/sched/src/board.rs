@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Emitter, Reader, Serialize};
 
 use crusade_model::{EdgeId, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, TaskId};
 use crusade_obs::{Event, ObserverHandle};
@@ -380,19 +380,20 @@ impl fmt::Debug for OccupantIndex {
 }
 
 impl Serialize for OccupantIndex {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(o, slot)| Value::Seq(vec![o.serialize_value(), slot.serialize_value()]))
-                .collect(),
-        )
+    fn emit<E: Emitter>(&self, e: &mut E) {
+        e.seq_begin();
+        for (occupant, slot) in self.iter() {
+            e.seq_elem();
+            (occupant, slot).emit(e);
+        }
+        e.seq_end();
     }
 }
 
 impl Deserialize for OccupantIndex {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
         let mut index = OccupantIndex::default();
-        for (occupant, slot) in BTreeMap::<Occupant, Slot>::deserialize_value(v)? {
+        for (occupant, slot) in BTreeMap::<Occupant, Slot>::read(r)? {
             index.insert(occupant, slot);
         }
         Ok(index)

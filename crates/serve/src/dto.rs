@@ -20,9 +20,13 @@
 //! variant payload must carry *exactly* the documented fields, the
 //! protocol version must match, the frame must stay under the size cap,
 //! and violations come back as typed [`ProtocolError`]s — never a panic,
-//! never a silently-dropped field.
+//! never a silently-dropped field. No frame is parsed into a `Value`
+//! tree: a valid request is read typed in one pass whose reader refuses
+//! unknown keys down to the payload, and only a frame that fails it is
+//! checked rule by rule, by walking keys and skipping values.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, IgnoredAny, Reader, Serialize, Token, Value};
+use serde_json::JsonReader;
 
 use crusade_model::{ResourceLibrary, SpecDelta, SystemSpec};
 use crusade_obs::Event;
@@ -402,6 +406,10 @@ pub fn encode_frame<T: Serialize>(frame: &T) -> Result<String, ProtocolError> {
 /// — the strictness tables [`decode_request`] enforces.
 const ENVELOPE_FIELDS: &[&str] = &["v", "client", "body"];
 
+/// How deep a variant payload's map sits: inside the envelope's map and
+/// the body's map.
+const PAYLOAD_DEPTH: usize = 3;
+
 fn variant_fields(variant: &str) -> Option<&'static [&'static str]> {
     match variant {
         "Submit" => Some(&["payload", "portfolio", "reconfiguration", "stream"]),
@@ -412,14 +420,47 @@ fn variant_fields(variant: &str) -> Option<&'static [&'static str]> {
     }
 }
 
-fn check_exact_fields(map: &Value, allowed: &[&str], context: &str) -> Result<(), ProtocolError> {
-    let Value::Map(entries) = map else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!("{context}: expected an object, got {}", map.kind()),
-        });
-    };
-    for (key, _) in entries {
+fn malformed(detail: String) -> ProtocolError {
+    ProtocolError {
+        kind: ProtocolErrorKind::MalformedFrame,
+        detail,
+    }
+}
+
+/// The keys of the object `text` starts with, each with the offset of
+/// its value in `text`. Values are skipped, never built.
+fn object_keys(text: &str, context: &str) -> Result<Vec<(String, usize)>, ProtocolError> {
+    let parsing = |e: serde::DeError| malformed(format!("parsing frame: {e}"));
+    let mut reader = JsonReader::new(text);
+    match reader.next().map_err(parsing)? {
+        Token::Map => {}
+        other => {
+            return Err(malformed(format!(
+                "{context}: expected an object, got {}",
+                other.kind()
+            )))
+        }
+    }
+    let mut keys = Vec::new();
+    while let Some(key) = reader.map_key().map_err(parsing)? {
+        keys.push((key.into_owned(), reader.offset()));
+        reader.skip().map_err(parsing)?;
+    }
+    Ok(keys)
+}
+
+/// The value offset of the first occurrence of `key` (a later repeat is
+/// ignored, as the typed read ignores it).
+fn first(keys: &[(String, usize)], key: &str) -> usize {
+    keys.iter().find(|(k, _)| k == key).map_or(0, |&(_, at)| at)
+}
+
+fn check_exact_fields(
+    keys: &[(String, usize)],
+    allowed: &[&str],
+    context: &str,
+) -> Result<(), ProtocolError> {
+    for (key, _) in keys {
         if !allowed.contains(&key.as_str()) {
             return Err(ProtocolError {
                 kind: ProtocolErrorKind::UnknownField,
@@ -428,14 +469,51 @@ fn check_exact_fields(map: &Value, allowed: &[&str], context: &str) -> Result<()
         }
     }
     for required in allowed {
-        if entries.iter().all(|(k, _)| k != required) {
-            return Err(ProtocolError {
-                kind: ProtocolErrorKind::MalformedFrame,
-                detail: format!("{context}: missing field `{required}`"),
-            });
+        if keys.iter().all(|(k, _)| k != required) {
+            return Err(malformed(format!("{context}: missing field `{required}`")));
         }
     }
     Ok(())
+}
+
+/// Checks a request line against every rule but the typed decode, in
+/// order, walking keys without building any subtree.
+fn check_rules(line: &str) -> Result<(), ProtocolError> {
+    serde_json::from_str::<IgnoredAny>(line)
+        .map_err(|e| malformed(format!("parsing frame: {e}")))?;
+    let envelope = object_keys(line, "request envelope")?;
+    check_exact_fields(&envelope, ENVELOPE_FIELDS, "request envelope")?;
+    let version = Value::read(&mut JsonReader::new(&line[first(&envelope, "v")..]))
+        .map_err(|e| malformed(format!("parsing frame: {e}")))?;
+    if version != Value::U64(u64::from(PROTOCOL_VERSION)) {
+        return Err(ProtocolError {
+            kind: ProtocolErrorKind::VersionMismatch,
+            detail: format!(
+                "protocol version {:?}; this server speaks {PROTOCOL_VERSION}",
+                Some(&version)
+            ),
+        });
+    }
+    let body = &line[first(&envelope, "body")..];
+    let commands = object_keys(body, "request body")?;
+    let [(variant, payload)] = commands.as_slice() else {
+        return Err(malformed(format!(
+            "request body: expected exactly one command key, got {}",
+            commands.len()
+        )));
+    };
+    let Some(allowed) = variant_fields(variant) else {
+        return Err(ProtocolError {
+            kind: ProtocolErrorKind::UnknownCommand,
+            detail: format!("unknown command `{variant}`"),
+        });
+    };
+    let context = format!("`{variant}` payload");
+    check_exact_fields(
+        &object_keys(&body[*payload..], &context)?,
+        allowed,
+        &context,
+    )
 }
 
 /// Strictly decodes one request line.
@@ -444,6 +522,11 @@ fn check_exact_fields(map: &Value, allowed: &[&str], context: &str) -> Result<()
 /// envelope field set, the protocol version, a known single-variant body,
 /// the variant's exact payload field set, and finally the typed
 /// deserialization itself.
+///
+/// A well-formed request decodes in one typed pass that refuses unknown
+/// envelope and payload keys. Any other frame, and the field-less
+/// commands (a typed read accepts any payload for them), is checked rule
+/// by rule for the first one it breaks.
 ///
 /// # Errors
 ///
@@ -456,49 +539,22 @@ pub fn decode_request(line: &str, max_bytes: usize) -> Result<Request, ProtocolE
             detail: format!("frame is {} bytes; cap is {max_bytes}", line.len()),
         });
     }
-    let value = serde_json::parse(line).map_err(|e| ProtocolError {
-        kind: ProtocolErrorKind::MalformedFrame,
-        detail: format!("parsing frame: {e}"),
-    })?;
-    check_exact_fields(&value, ENVELOPE_FIELDS, "request envelope")?;
-    match value.get("v") {
-        Some(Value::U64(v)) if *v == u64::from(PROTOCOL_VERSION) => {}
-        other => {
-            return Err(ProtocolError {
-                kind: ProtocolErrorKind::VersionMismatch,
-                detail: format!(
-                    "protocol version {other:?}; this server speaks {PROTOCOL_VERSION}"
-                ),
-            })
+    let mut reader = JsonReader::new(line).deny_unknown_fields(PAYLOAD_DEPTH);
+    match Request::read(&mut reader).and_then(|request| reader.finish().map(|()| request)) {
+        Ok(request)
+            if request.v == PROTOCOL_VERSION
+                && !matches!(
+                    request.body,
+                    RequestBody::Stats(_) | RequestBody::Shutdown(_)
+                ) =>
+        {
+            Ok(request)
+        }
+        typed => {
+            check_rules(line)?;
+            typed.map_err(|e| malformed(format!("decoding request: {e}")))
         }
     }
-    let body = value.get("body").unwrap_or(&Value::Null);
-    let Value::Map(entries) = body else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!("request body: expected an object, got {}", body.kind()),
-        });
-    };
-    let [(variant, payload)] = entries.as_slice() else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!(
-                "request body: expected exactly one command key, got {}",
-                entries.len()
-            ),
-        });
-    };
-    let Some(allowed) = variant_fields(variant) else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::UnknownCommand,
-            detail: format!("unknown command `{variant}`"),
-        });
-    };
-    check_exact_fields(payload, allowed, &format!("`{variant}` payload"))?;
-    Request::deserialize_value(&value).map_err(|e| ProtocolError {
-        kind: ProtocolErrorKind::MalformedFrame,
-        detail: format!("decoding request: {e}"),
-    })
 }
 
 /// Decodes one response line (clients are lenient: they only demand a

@@ -15,24 +15,30 @@
 //! is not collision-resistant, so equal fingerprints do not prove equal
 //! inputs; typed equality does.
 
+use std::fmt::Write as _;
+
 use crate::dto::SpecPayload;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Extends a 64-bit FNV-1a hash state over a byte string.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// A 64-bit FNV-1a hash state that printed text is written into.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    hash
 }
 
 /// Computes the spec fingerprint (16 hex digits) of a submission.
 ///
-/// The payload is serialized once; the canonical wrapper's bytes around
-/// it are hashed in place rather than built into a second tree.
+/// The printer writes the canonical JSON straight into the hash state:
+/// no string of it is ever built.
 ///
 /// # Errors
 ///
@@ -43,12 +49,14 @@ pub fn fingerprint(
     portfolio: usize,
     reconfiguration: bool,
 ) -> Result<String, String> {
-    let json = serde_json::to_string(payload).map_err(|e| e.to_string())?;
-    let suffix = format!(",\"portfolio\":{portfolio},\"reconfiguration\":{reconfiguration}}}");
-    let hash = fnv1a(FNV_OFFSET, b"{\"payload\":");
-    let hash = fnv1a(hash, json.as_bytes());
-    let hash = fnv1a(hash, suffix.as_bytes());
-    Ok(format!("{hash:016x}"))
+    let mut hash = Fnv1a(FNV_OFFSET);
+    let _ = hash.write_str("{\"payload\":");
+    serde_json::to_writer(&mut hash, payload).map_err(|e| e.to_string())?;
+    let _ = write!(
+        hash,
+        ",\"portfolio\":{portfolio},\"reconfiguration\":{reconfiguration}}}"
+    );
+    Ok(format!("{:016x}", hash.0))
 }
 
 #[cfg(test)]
@@ -59,6 +67,20 @@ mod tests {
     fn motivating_payload() -> SpecPayload {
         let (library, spec) = motivating_example();
         SpecPayload { library, spec }
+    }
+
+    /// The hash runs over exactly the bytes `to_string` prints.
+    #[test]
+    fn fingerprint_hashes_the_printed_canonical_json() {
+        let payload = motivating_payload();
+        let json = serde_json::to_string(&payload).unwrap();
+        let canonical = format!("{{\"payload\":{json},\"portfolio\":3,\"reconfiguration\":true}}");
+        let mut hash = Fnv1a(FNV_OFFSET);
+        hash.write_str(&canonical).unwrap();
+        assert_eq!(
+            fingerprint(&payload, 3, true).unwrap(),
+            format!("{:016x}", hash.0)
+        );
     }
 
     #[test]
@@ -76,7 +98,7 @@ mod tests {
     }
 
     /// The wire values clients may have stored: hashing the canonical
-    /// bytes piecewise must not move them.
+    /// bytes as they are printed must not move them.
     #[test]
     fn fingerprints_of_the_motivating_example_are_pinned() {
         let payload = motivating_payload();

@@ -19,12 +19,14 @@
 //! are byte-for-byte the CLI's answers: serving adds queueing, caching
 //! and transport — never a different architecture.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -158,11 +160,50 @@ struct Job {
 /// The cache key: the synthesis inputs themselves. Synthesis is a
 /// deterministic function of them, and typed equality cannot collide the
 /// way a 64-bit hash of their JSON can.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// The key carries the derived hash of its inputs, computed once when it
+/// is built: every map probe of a request hashes one `u64`, not the
+/// payload again. Typed equality still decides a match.
+#[derive(Clone)]
 struct CacheKey {
     payload: Arc<SpecPayload>,
     portfolio: usize,
     reconfiguration: bool,
+    hash: u64,
+}
+
+impl CacheKey {
+    fn new(payload: SpecPayload, portfolio: usize, reconfiguration: bool) -> Self {
+        // One randomly keyed hasher per process, as a `HashMap` keys its
+        // own: clients cannot craft colliding payloads.
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let hash =
+            KEYS.get_or_init(RandomState::new)
+                .hash_one((&payload, portfolio, reconfiguration));
+        CacheKey {
+            payload: Arc::new(payload),
+            portfolio,
+            reconfiguration,
+            hash,
+        }
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.portfolio == other.portfolio
+            && self.reconfiguration == other.reconfiguration
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// One cache key's slot.
@@ -536,11 +577,7 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
         write_response(stream, &Response::new(ResponseBody::Error(e)));
         return;
     }
-    let key = CacheKey {
-        payload: Arc::new(req.payload),
-        portfolio: req.portfolio.max(1),
-        reconfiguration: req.reconfiguration,
-    };
+    let key = CacheKey::new(req.payload, req.portfolio.max(1), req.reconfiguration);
 
     enum Admission {
         Refused(ProtocolError),
@@ -727,11 +764,7 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
         return Response::new(ResponseBody::Error(e));
     }
     let work = JobKind::Resyn {
-        key: CacheKey {
-            payload: Arc::new(req.payload),
-            portfolio: req.portfolio.max(1),
-            reconfiguration: req.reconfiguration,
-        },
+        key: CacheKey::new(req.payload, req.portfolio.max(1), req.reconfiguration),
         deltas: req.deltas,
     };
     let (id, rx) = {
@@ -1169,11 +1202,7 @@ mod tests {
     #[test]
     fn admission_counts_each_clients_in_flight_jobs() {
         let state = idle_state(1);
-        let key = CacheKey {
-            payload: Arc::new(payload()),
-            portfolio: 1,
-            reconfiguration: true,
-        };
+        let key = CacheKey::new(payload(), 1, true);
         let (id, _rx) = {
             let mut inner = state.lock();
             let work = JobKind::Submit {
@@ -1213,11 +1242,7 @@ mod tests {
     #[test]
     fn terminal_jobs_are_evicted_oldest_first_once_read() {
         let state = Arc::new(idle_state(usize::MAX));
-        let key = CacheKey {
-            payload: Arc::new(payload()),
-            portfolio: 1,
-            reconfiguration: true,
-        };
+        let key = CacheKey::new(payload(), 1, true);
         let extra = 5;
         let mut inner = state.lock();
         let ids: Vec<u64> = (0..RETAINED_TERMINAL_JOBS + extra)

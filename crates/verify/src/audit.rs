@@ -23,7 +23,7 @@ use crate::violation::Violation;
 /// Re-derives every claimed invariant: placement completeness, deadlines,
 /// precedence, serialised-resource exclusivity, merged-mode temporal
 /// disjointness with reboot room, boot feasibility of the programming
-/// interface, ERUF/EPUF/memory/gate capacity caps, preference and
+/// interface, ERUF/EPUF/memory/gate/link-port capacity caps, preference and
 /// exclusion vectors, and the compatibility matrix. Returns one
 /// [`Violation`] per defect; an empty vector certifies the architecture.
 ///
@@ -221,7 +221,8 @@ fn check_transfers(
 
 /// Re-derives every mode's hardware demand and every device's memory use
 /// from the cluster lists, checks the caps, and cross-checks the recorded
-/// bookkeeping. Also detects clusters recorded on several devices.
+/// bookkeeping. Also detects clusters recorded on several devices and
+/// links with more PEs attached than their type has ports.
 fn check_capacities_and_bookkeeping(
     lib: &ResourceLibrary,
     options: &CosynOptions,
@@ -319,6 +320,16 @@ fn check_capacities_and_bookkeeping(
             } else {
                 homes.insert(cid, pid);
             }
+        }
+    }
+    for (lid, link) in arch.links() {
+        let max_ports = lib.link(link.ty).max_ports();
+        if link.attached.len() > max_ports as usize {
+            out.push(Violation::LinkPortsExceeded {
+                link: lid,
+                attached: link.attached.len(),
+                max_ports,
+            });
         }
     }
 }

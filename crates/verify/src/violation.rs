@@ -157,6 +157,15 @@ pub enum Violation {
         /// Second hosting device.
         pe_b: PeInstanceId,
     },
+    /// A link has more PEs attached than its type has ports.
+    LinkPortsExceeded {
+        /// The over-attached link.
+        link: LinkInstanceId,
+        /// PEs attached to it.
+        attached: usize,
+        /// Its type's `max_ports`.
+        max_ports: u32,
+    },
     /// A link transfer is scheduled on a link that does not attach both
     /// endpoint PEs.
     DanglingTransfer {
@@ -198,6 +207,7 @@ impl Violation {
             Violation::IncompatibleGraphs { .. } => "incompatible-graphs",
             Violation::ModeBookkeeping { .. } => "mode-bookkeeping",
             Violation::ClusterReplicated { .. } => "cluster-replicated",
+            Violation::LinkPortsExceeded { .. } => "link-ports-exceeded",
             Violation::DanglingTransfer { .. } => "dangling-transfer",
             Violation::UnavailabilityExceeded { .. } => "unavailability-exceeded",
         }
@@ -306,6 +316,14 @@ impl std::fmt::Display for Violation {
                 pe_a,
                 pe_b,
             } => write!(f, "cluster {cluster} resident on both {pe_a} and {pe_b}"),
+            Violation::LinkPortsExceeded {
+                link,
+                attached,
+                max_ports,
+            } => write!(
+                f,
+                "link {link}: {attached} PEs attached to its {max_ports} ports"
+            ),
             Violation::DanglingTransfer { edge, link } => write!(
                 f,
                 "edge {edge} scheduled on link {link} that does not attach both endpoints"

@@ -228,6 +228,28 @@ fn replicated_cluster_is_caught() {
 }
 
 #[test]
+fn over_attached_link_is_caught() {
+    let mut f = fixture(CosynOptions::without_reconfiguration());
+    let (victim, ty) = f
+        .result
+        .architecture
+        .links()
+        .map(|(lid, link)| (lid, link.ty))
+        .next()
+        .expect("a live link");
+    let max_ports = f.lib.lib.link(ty).max_ports() as usize;
+    let pes: Vec<_> = f.result.architecture.pes().map(|(pid, _)| pid).collect();
+    let attached = &mut f.result.architecture.link_mut(victim).attached;
+    for &pid in pes.iter().cycle() {
+        if attached.len() > max_ports {
+            break;
+        }
+        attached.push(pid);
+    }
+    f.assert_catches("link-ports-exceeded");
+}
+
+#[test]
 fn untouched_architecture_audits_clean() {
     let f = fixture(CosynOptions::default());
     assert_eq!(f.kinds(), Vec::<&str>::new());

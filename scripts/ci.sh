@@ -13,8 +13,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --quiet
 
-echo "==> cargo build perfbench (the perf ledger builds against the public API)"
+echo "==> perf-ledger build and tests (seeds, catalog, exact replayed allocation counts)"
+# The catalog test reads BENCHMARK.json through the vendored JSON reader
+# and the report writer prints through its printer, so they run here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
@@ -138,8 +141,6 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "==> schedulability sweep grid (5 utilizations x 3 tightness x 10 seeds)"
     cargo run --release -q -p crusade-bench --bin sweep
     cargo test --release -q -p crusade --test bench_artifacts sweep
-    echo "==> perf-ledger tests (seeds, catalog, exact replayed allocation counts)"
-    cargo test --release -q --manifest-path perfbench/Cargo.toml
     echo "==> line-coverage ratchet (crates/core + crates/sched)"
     scripts/coverage.sh
 fi

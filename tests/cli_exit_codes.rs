@@ -51,6 +51,28 @@ fn lint_clean_spec_exits_zero() {
     );
 }
 
+/// Python's `json.dumps` escapes a character outside the Basic
+/// Multilingual Plane as a UTF-16 surrogate pair (`𝄞` as
+/// `\ud834\udd1e`): a spec written that way loads like any other.
+#[test]
+fn surrogate_pair_escapes_lint_like_the_character() {
+    let dir = temp_dir("surrogate");
+    let path = sample_spec(&dir);
+    let text = std::fs::read_to_string(&path).expect("reading sample spec");
+    let escaped = text.replace("\"name\": \"parse\"", r#""name": "t\ud834\udd1e""#);
+    assert_ne!(escaped, text, "sample spec layout changed; update the test");
+    let escaped_path = dir.join("escaped.json");
+    std::fs::write(&escaped_path, escaped).expect("writing escaped spec");
+    let out = crusade(&["lint", escaped_path.to_str().expect("utf-8 temp path")]);
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "lint on a surrogate-escaped spec: stdout={} stderr={}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+}
+
 #[test]
 fn audit_clean_spec_exits_zero() {
     let dir = temp_dir("audit-clean");

@@ -94,6 +94,79 @@ fn repair_outcome_round_trips() {
     assert_eq!(outcome.new_pes, back.new_pes);
 }
 
+/// Typed reads of hostile documents give exactly these messages: the
+/// first *declared* field that fails names the error, the first of two
+/// repeated keys wins, a missing field reads as `null`, and a syntax
+/// error anywhere wins over a type error.
+#[test]
+fn hostile_typed_documents_keep_their_messages() {
+    use crusade::model::SpecDelta;
+    use crusade::serve::ResynStep;
+
+    fn step(text: &str) -> Result<ResynStep, String> {
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    }
+    fn delta(text: &str) -> Result<Vec<SpecDelta>, String> {
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    }
+
+    assert_eq!(
+        step(r#"{"cost":"x","rung":1,"kind":"warm","index":0}"#).unwrap_err(),
+        "field `ResynStep.rung`: invalid type: expected string, found integer",
+        "two mistyped fields in reverse declaration order"
+    );
+    assert_eq!(
+        step(r#"{"index":2,"kind":"k","rung":"warm","cost":5,"cost":"x","rung":[]}"#),
+        Ok(ResynStep {
+            index: 2,
+            kind: "k".to_string(),
+            rung: "warm".to_string(),
+            cost: 5,
+        }),
+        "a repeated key keeps its first value"
+    );
+    assert_eq!(
+        step(r#"{"index":0,"kind":"k","rung":"warm","extra":{"a":[1]}}"#).unwrap_err(),
+        "field `ResynStep.cost`: invalid type: expected integer, found null",
+        "a missing required field"
+    );
+    assert_eq!(
+        step(r#"{"cost":[1],"index":0,"rung":"warm"}"#).unwrap_err(),
+        "field `ResynStep.kind`: invalid type: expected string, found null",
+        "a missing field declared before a mistyped one"
+    );
+    assert_eq!(
+        delta(r#"[{"FailPe":{"pe":4294967296}}]"#).unwrap_err(),
+        "field `SpecDelta.pe`: integer 4294967296 out of range",
+        "a u32 overflow"
+    );
+    assert_eq!(
+        delta(r#"[{"RestorePe":{"pe":1.0}}]"#).unwrap_err(),
+        "field `SpecDelta.pe`: invalid type: expected integer, found number",
+        "a float in an integer field"
+    );
+    assert_eq!(
+        delta(r#"[{"FailPe":{"pe":"x"},"RestorePe":{"pe":1}}]"#).unwrap_err(),
+        "invalid type: expected externally tagged SpecDelta, found map",
+        "an enum map with two keys and a bad payload"
+    );
+    assert_eq!(
+        delta(r#"[{"Bogus":{"pe":1}}, "FailPe", {}]"#).unwrap_err(),
+        "unknown variant `Bogus` of SpecDelta",
+        "an unknown tag comes first"
+    );
+    assert_eq!(
+        delta(r#"[{"FailPe":{"pe":"x"}}, {"RestorePe":{"pe":1},}]"#).unwrap_err(),
+        "expected `\"` at byte 46",
+        "a type error followed later by a syntax error"
+    );
+    assert_eq!(
+        delta(r#"[{"TightenDeadline":{"deadline":1,"graph":-1}}] x"#).unwrap_err(),
+        "trailing characters at byte 48",
+        "a type error followed by trailing characters"
+    );
+}
+
 /// The vendored printer and parser must give exactly the bytes, values
 /// and error messages of the plain versions they replaced, kept verbatim
 /// in `reference` as the oracle.
@@ -448,6 +521,152 @@ mod json_layer {
         assert_eq!(fast, slow, "from_str of {text:?}");
         let bare = serde_json::parse(text).map_err(|e| e.to_string());
         assert_eq!(bare, slow, "parse of {text:?}");
+    }
+
+    /// Asserts that the printer gives the reference's bytes for `x`'s
+    /// tree, compact and (when asked) indented, and that reading the
+    /// compact text back re-prints the same bytes.
+    fn same_print<T: serde::Serialize + serde::Deserialize>(x: &T, pretty: bool) -> T {
+        let tree = x.serialize_value();
+        let compact = serde_json::to_string(x).unwrap();
+        assert_eq!(compact, reference::to_string(&tree, None).unwrap());
+        if pretty {
+            let indented = serde_json::to_string_pretty(x).unwrap();
+            assert_eq!(indented, reference::to_string(&tree, Some("  ")).unwrap());
+        }
+        let back: T = serde_json::from_str(&compact).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), compact);
+        back
+    }
+
+    /// The printer and reader over real data: every paper example, 16
+    /// generated families, every delta kind, every response variant and
+    /// one synthesis result. Of the paper examples (0.5 to 3.5 MB each)
+    /// only the first is also printed indented, to keep the test quick.
+    #[test]
+    fn real_data_prints_like_the_reference_and_reads_back_equal() {
+        use crusade::core::CoSynthesis;
+        use crusade::gen::{generate_payload, GenConfig};
+        use crusade::model::{GraphId, Nanos, SpecDelta};
+        use crusade::obs::Event;
+        use crusade::serve::{
+            DrainReport, JobEvent, JobResult, JobStatus, ProtocolErrorKind, Response, ResponseBody,
+            ResynResult, ResynStep, ServerStats, SpecPayload,
+        };
+        use crusade::workloads::{paper_examples, paper_library};
+
+        let lib = paper_library();
+        let specs: Vec<_> = paper_examples().iter().map(|ex| ex.build(&lib)).collect();
+        for (i, spec) in specs.iter().enumerate() {
+            let payload = SpecPayload {
+                library: lib.lib.clone(),
+                spec: spec.clone(),
+            };
+            assert_eq!(same_print(&payload, i == 0), payload);
+        }
+        for seed in 1..=16 {
+            let (library, spec) = generate_payload(&GenConfig {
+                seed,
+                ..GenConfig::default()
+            });
+            let payload = SpecPayload { library, spec };
+            assert_eq!(same_print(&payload, true), payload);
+        }
+
+        let deltas = vec![
+            SpecDelta::AddTaskGraph {
+                graph: specs[0].graph(GraphId::new(0)).clone(),
+            },
+            SpecDelta::RemoveTaskGraph {
+                graph: GraphId::new(1),
+            },
+            SpecDelta::TightenDeadline {
+                graph: GraphId::new(0),
+                deadline: Nanos::from_micros(900),
+            },
+            SpecDelta::ScaleRate {
+                graph: GraphId::new(2),
+                percent: 50,
+            },
+            SpecDelta::FailPe { pe: 3 },
+            SpecDelta::RestorePe { pe: 3 },
+            SpecDelta::RetireLink { link: 0 },
+        ];
+        assert_eq!(same_print(&deltas, true), deltas);
+
+        let result = JobResult {
+            job: 7,
+            fingerprint: "00deadbeef00cafe".to_string(),
+            cached: true,
+            coalesced: false,
+            cost: 1234,
+            policy: 3,
+            pes: 4,
+            links: 2,
+            multi_mode_devices: 1,
+            audit_clean: true,
+            queue_ms: 0.1,
+            run_ms: 2.5e-7,
+        };
+        let status = JobStatus {
+            job: 9,
+            state: "failed".to_string(),
+            detail: "tab\there, quote \" and \u{1}".to_string(),
+            result: Some(result.clone()),
+        };
+        let responses = [
+            ResponseBody::Event(JobEvent {
+                job: 1,
+                seq: 0,
+                event: Event::SpanOpen {
+                    span: 0,
+                    phase: "allocation".to_string(),
+                },
+            }),
+            ResponseBody::Result(result),
+            ResponseBody::Status(status.clone()),
+            ResponseBody::Cancelled(JobStatus {
+                result: None,
+                ..status
+            }),
+            ResponseBody::Resyn(ResynResult {
+                job: 2,
+                fingerprint: "f8882aa3215997e0".to_string(),
+                incumbent_cached: true,
+                incumbent_cost: 100,
+                final_cost: 90,
+                degraded: false,
+                steps: vec![ResynStep {
+                    index: 0,
+                    kind: "fail-pe".to_string(),
+                    rung: "warm".to_string(),
+                    cost: 90,
+                }],
+                audit_clean: true,
+            }),
+            ResponseBody::Stats(ServerStats::default()),
+            ResponseBody::ShuttingDown(DrainReport {
+                drained: 1,
+                cancelled: 2,
+            }),
+            ResponseBody::Error(crusade::serve::ProtocolError {
+                kind: ProtocolErrorKind::InvalidSpec,
+                detail: "é✓𝄞".to_string(),
+            }),
+        ];
+        for body in responses {
+            let response = Response::new(body);
+            assert_eq!(same_print(&response, true), response);
+        }
+
+        let synthesis = CoSynthesis::new(&specs[0], &lib.lib).run().unwrap();
+        let parts = (
+            synthesis.architecture,
+            (*synthesis.clustering).clone(),
+            synthesis.report,
+        );
+        let back = same_print(&parts, true);
+        assert_eq!((&back.1, &back.2), (&parts.1, &parts.2));
     }
 
     const PIECES: &[&str] = &[

@@ -305,3 +305,170 @@ fn fingerprints_are_stable_across_encoding() {
     assert_eq!(a.len(), 16, "fingerprint is not 16 hex digits");
     assert!(a.chars().all(|c| c.is_ascii_hexdigit()));
 }
+
+/// `decode_request` checks its rules in a fixed order: the byte cap,
+/// well-formed JSON, the envelope fields, the version, a one-key body, a
+/// known command, the payload fields, the typed decode. Each frame here
+/// breaks two adjacent rules; the earlier one must name the error, with
+/// its exact detail.
+#[test]
+fn the_earlier_of_two_broken_rules_names_the_error() {
+    use ProtocolErrorKind::*;
+    let cap = 64;
+    let long_and_cut = format!("{{\"client\":\"{}\"", "x".repeat(cap));
+    let cases: &[(&str, usize, ProtocolErrorKind, &str)] = &[
+        // Byte cap, then well-formedness.
+        (
+            &long_and_cut,
+            cap,
+            FrameTooLarge,
+            "frame is 76 bytes; cap is 64",
+        ),
+        // Well-formedness, then the envelope fields.
+        (
+            r#"{"extra":1,"v":1,"client":"c","body":{"Stats":{}}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "parsing frame: trailing characters at byte 50",
+        ),
+        (
+            r#"{"extra":"a\qb","v":1,"client":"c","body":{"Stats":{}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "parsing frame: invalid escape sequence",
+        ),
+        // The envelope fields, then the version.
+        (
+            r#"{"v":2,"client":"c","body":{"Stats":{}},"extra":true}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            UnknownField,
+            "request envelope: unknown field `extra`",
+        ),
+        (
+            r#"{"v":2,"body":{"Stats":{}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "request envelope: missing field `client`",
+        ),
+        (
+            "[2]",
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "request envelope: expected an object, got sequence",
+        ),
+        // The version, then a one-key body.
+        (
+            r#"{"v":"1","client":"c","body":{"Stats":{},"Shutdown":{}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            VersionMismatch,
+            r#"protocol version Some(Str("1")); this server speaks 1"#,
+        ),
+        (
+            r#"{"v":{"major":1},"client":"c","body":[]}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            VersionMismatch,
+            r#"protocol version Some(Map([("major", U64(1))])); this server speaks 1"#,
+        ),
+        // A one-key body, then a known command.
+        (
+            r#"{"v":1,"client":"c","body":{"Nope":{},"Zap":{}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "request body: expected exactly one command key, got 2",
+        ),
+        (
+            r#"{"v":1,"client":"c","body":"Nope"}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "request body: expected an object, got string",
+        ),
+        // A known command, then the payload fields.
+        (
+            r#"{"v":1,"client":"c","body":{"Nope":{"x":1}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            UnknownCommand,
+            "unknown command `Nope`",
+        ),
+        // The payload fields, then the typed decode.
+        (
+            r#"{"v":1,"client":"c","body":{"Status":{"job":"seven","extra":1}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            UnknownField,
+            "`Status` payload: unknown field `extra`",
+        ),
+        (
+            r#"{"v":1,"client":"c","body":{"Status":{"jobs":1}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            UnknownField,
+            "`Status` payload: unknown field `jobs`",
+        ),
+        (
+            r#"{"v":1,"client":"c","body":{"Stats":5}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "`Stats` payload: expected an object, got integer",
+        ),
+        (
+            r#"{"v":1,"client":"c","body":{"Shutdown":{"now":true}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            UnknownField,
+            "`Shutdown` payload: unknown field `now`",
+        ),
+        // The typed decode alone.
+        (
+            r#"{"v":1,"client":"c","body":{"Status":{"job":"seven"}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "decoding request: field `Request.body`: field `JobRef.job`: \
+             invalid type: expected integer, found string",
+        ),
+        (
+            r#"{"v":1,"client":7,"body":{"Status":{"job":-1}}}"#,
+            DEFAULT_MAX_FRAME_BYTES,
+            MalformedFrame,
+            "decoding request: field `Request.client`: \
+             invalid type: expected string, found integer",
+        ),
+    ];
+    for (line, cap, kind, detail) in cases {
+        let err = decode_request(line, *cap).expect_err(line);
+        assert_eq!((err.kind, err.detail.as_str()), (*kind, *detail), "{line}");
+    }
+}
+
+/// Unknown keys below the payload are ignored like anywhere in a spec
+/// file, and the first of two repeated keys wins at every level.
+#[test]
+fn strictness_stops_at_the_payload_and_repeated_keys_keep_the_first() {
+    let submit = request(RequestBody::Submit(SubmitRequest {
+        payload: sample_payload(),
+        portfolio: 4,
+        reconfiguration: true,
+        stream: false,
+    }));
+    let line = encode_frame(&submit).unwrap();
+    let deep_extra = line.replacen("\"payload\":{", "\"payload\":{\"extra\":[1,{}],", 1);
+    assert_eq!(
+        decode_request(deep_extra.trim_end(), DEFAULT_MAX_FRAME_BYTES).unwrap(),
+        submit
+    );
+    let repeated = line.replacen("{\"v\":1,", "{\"v\":1,\"v\":2,", 1).replacen(
+        "\"portfolio\":4,",
+        "\"portfolio\":4,\"portfolio\":\"x\",",
+        1,
+    );
+    assert_eq!(
+        decode_request(repeated.trim_end(), DEFAULT_MAX_FRAME_BYTES).unwrap(),
+        submit
+    );
+    let negative = line.replacen("\"portfolio\":4,", "\"portfolio\":-4,", 1);
+    let err = decode_request(negative.trim_end(), DEFAULT_MAX_FRAME_BYTES).unwrap_err();
+    assert_eq!(
+        (err.kind, err.detail.as_str()),
+        (
+            ProtocolErrorKind::MalformedFrame,
+            "decoding request: field `Request.body`: field `SubmitRequest.portfolio`: \
+             integer -4 out of range"
+        )
+    );
+}
